@@ -1,12 +1,18 @@
-//! Concurrency stress for the metrics registry: rayon tasks hammering the
-//! same counters and spans must merge to exact totals. Lives in its own
-//! integration-test binary so the process-global registry isn't shared with
-//! unrelated tests.
+//! Concurrency stress for the metrics registry: rayon tasks on a 4-thread
+//! pool hammering the same counters and spans must merge to exact totals.
+//! Lives in its own integration-test binary so the process-global registry
+//! isn't shared with unrelated tests.
+
+use std::collections::HashSet;
+use std::sync::Mutex;
+use std::thread::{self, ThreadId};
+use std::time::{Duration, Instant};
 
 use rayon::prelude::*;
 
 const TASKS: u64 = 64;
 const INNER: u64 = 500;
+const THREADS: usize = 4;
 
 #[test]
 fn concurrent_spans_and_counters_merge_exactly() {
@@ -16,16 +22,37 @@ fn concurrent_spans_and_counters_merge_exactly() {
     let items = obs::counter("stress.items");
     let batches = obs::counter("stress.batches");
     let peak = obs::gauge("stress.peak");
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(THREADS)
+        .build()
+        .expect("build pool");
+    let span_threads: Mutex<HashSet<ThreadId>> = Mutex::new(HashSet::new());
 
-    (0..TASKS).into_par_iter().for_each(|t| {
-        let _outer = obs::span("stress");
-        batches.inc();
-        peak.set_max(t);
-        for _ in 0..INNER {
-            let _inner = obs::span("stress.inner");
-            items.add(1);
-        }
+    pool.install(|| {
+        (0..TASKS).into_par_iter().for_each(|t| {
+            let _outer = obs::span("stress");
+            span_threads.lock().unwrap().insert(thread::current().id());
+            // Hold the task (bounded) until a second thread records spans
+            // too, so the merge is exercised across threads, not assumed.
+            let start = Instant::now();
+            while span_threads.lock().unwrap().len() < 2
+                && start.elapsed() < Duration::from_secs(10)
+            {
+                thread::yield_now();
+            }
+            batches.inc();
+            peak.set_max(t);
+            for _ in 0..INNER {
+                let _inner = obs::span("stress.inner");
+                items.add(1);
+            }
+        })
     });
+    let span_threads = span_threads.into_inner().unwrap().len();
+    assert!(
+        span_threads > 1,
+        "spans recorded on {span_threads} thread(s) only"
+    );
 
     // Every task's outermost span has closed, so every thread-local buffer
     // has flushed: totals are exact, not approximate.
@@ -42,9 +69,11 @@ fn concurrent_spans_and_counters_merge_exactly() {
     assert!(outer.total_ns > 0);
 
     // A second hammering round keeps accumulating (no reset in between).
-    (0..TASKS).into_par_iter().for_each(|_| {
-        let _outer = obs::span("stress");
-        items.add(1);
+    pool.install(|| {
+        (0..TASKS).into_par_iter().for_each(|_| {
+            let _outer = obs::span("stress");
+            items.add(1);
+        })
     });
     let snap = obs::snapshot();
     assert_eq!(snap.counter("stress.items"), Some(TASKS * INNER + TASKS));

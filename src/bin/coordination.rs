@@ -99,11 +99,12 @@ fn usage() -> ExitCode {
          per label; overflow spills sorted segments to disk and the output\n\
          is bit-identical to an unbounded run (distributed pipeline only).\n\
          --threads N runs the command inside an N-thread rayon pool\n\
-         (default: rayon's own sizing); ingest parses input chunks on the\n\
-         same pool. --skip-bad-lines counts and skips malformed input lines\n\
-         instead of aborting (default: strict). --report FILE writes a\n\
-         schema-versioned JSON run report (span timings + counters);\n\
-         --progress prints live per-stage lines to stderr."
+         (default: one thread per available core; 1 runs sequentially);\n\
+         output is identical at every thread count. --skip-bad-lines\n\
+         counts and skips malformed input lines instead of aborting\n\
+         (default: strict). --report FILE writes a schema-versioned JSON\n\
+         run report (span timings + counters); --progress prints live\n\
+         per-stage lines to stderr."
     );
     ExitCode::from(2)
 }
@@ -955,17 +956,12 @@ fn main() -> ExitCode {
         obs::Obs::enable();
         obs::Obs::set_progress(flags.has("progress"));
     }
-    // `--threads N` scopes every parallel stage (projection fan-out, survey)
-    // to an N-thread rayon pool instead of the global one.
+    // Every parallel stage (ingest chunks, projection fan-out, survey,
+    // validation) runs on an N-thread rayon pool: `--threads N`, or one
+    // thread per available core when the flag is absent (or 0). `--threads 1`
+    // runs sequentially. Output is identical at every thread count.
     let result = match flags.num::<usize>("threads", 0) {
         Err(e) => Err(e),
-        Ok(0) => match dispatch(cmd, &flags) {
-            Some(r) => r,
-            None => {
-                eprintln!("unknown command: {cmd}");
-                return usage();
-            }
-        },
         Ok(n) => match rayon::ThreadPoolBuilder::new().num_threads(n).build() {
             Err(e) => Err(format!("build {n}-thread pool: {e}")),
             Ok(pool) => match pool.install(|| dispatch(cmd, &flags)) {
