@@ -43,27 +43,29 @@
 //!    degree reduction: every rank learns the degree of every vertex (the
 //!    ghosts of its partition included) and orients its edges by the same
 //!    `(degree, id)` rule as [`tripoll::OrientedGraph`]. Oriented edges
-//!    shuffle (packed) to their source's owner, build a
-//!    [`coordination_graph::LocalCsr`] partition published into the
-//!    distributed adjacency by direct owner-local inserts (no self-send
-//!    round trip), and [`tripoll::survey_stage`] closes wedges exactly as on
-//!    the cluster, its wedge-check messages batched by the same adaptive
-//!    policy.
-//! 5. **Validation** — first the *on-demand harvest*: the surveyed
-//!    triangles are keep-filtered (min weight and `T`-score — both locally
-//!    computable, `P'` is replicated), the survivors' vertex set is
-//!    all-gathered, each rank
-//!    scans its page-sorted event run for just those authors, and ships the
-//!    packed `(author, page)` incidences to the author owners, which sort
-//!    and dedup — reproducing `Btm`'s page lists for exactly the authors
-//!    validation will read, instead of shuffling and sorting the full
-//!    per-event incidence. Then the rank that kept a triangle
-//!    binary-searches the three authors' page runs out of the author-owner
-//!    shards in place (quiescent
-//!    [`with_shard`](ygm::container::DistBag::with_shard) reads after the
-//!    harvest barrier — no message chains, no list clones) and computes the
-//!    metrics through [`crate::hypergraph::validate_triangle_parts`], the
-//!    same floating-point expressions the resident path evaluates.
+//!    shuffle (packed) to their source's owner and build a
+//!    [`coordination_graph::LocalCsr`] partition, which
+//!    [`tripoll::survey_stage`] surveys in place: each apex's out-list is
+//!    shipped once per destination rank as packed `(u, x, w_ux)` items
+//!    (label `wedge_checks`, into a budgeted run stack), and the owner of
+//!    each wedge's middle vertex closes it by adaptive intersection over its
+//!    own rows. The examined count, max min-weight and log histogram fold as
+//!    triangles close, and only triangles at or above the cutoff are kept —
+//!    the below-cutoff bulk is never stored. One all-gather reduces the
+//!    statistics; the `T`-score predicate (`P'` is replicated) then filters
+//!    the survivors locally.
+//! 5. **Validation** — first the *on-demand harvest*: the kept triangles'
+//!    vertex set is all-gathered, each rank scans its page-sorted event run
+//!    for just those authors, and ships the packed `(author, page)`
+//!    incidences to the author owners, which merge and dedup them into a
+//!    page-run table — reproducing `Btm`'s page lists for exactly the
+//!    authors validation will read, instead of shuffling and sorting the
+//!    full per-event incidence. After the harvest barrier every rank takes
+//!    a shared handle to every owner's table once, and runs the kept
+//!    triangles (vertex-sorted) through
+//!    [`crate::hypergraph::validate_triangles`] — the resident path's
+//!    kernel, borrowing page runs as slices and intersecting `P_a ∩ P_b`
+//!    once per shared `(a, b)` prefix.
 //!
 //! **Equivalence contract** (pinned by `tests/distributed_equivalence.rs`
 //! and a CLI byte-identity test): for every input, every rank count, every
@@ -72,33 +74,27 @@
 //! [`PipelineOutput`] as [`Pipeline`](crate::Pipeline) — same CI graph,
 //! same survey report (including the examined count, log-histogram and
 //! bit-identical `T` scores), same validated triplets in the same order.
-//! Only the stage timings differ.
+//! Only the stage timings differ: here they are rank 0's barrier-aligned
+//! laps, with ingest and the event exchange counted in `projection`.
 
 use std::collections::HashSet;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use coordination_graph::LocalCsr;
 use tripoll::survey::{t_score, SurveyReport, SurveyedTriangle};
-use tripoll::{survey_stage, DistAdjacency, Triangle};
-use ygm::container::DistBag;
+use tripoll::survey_stage;
 use ygm::reduce::{all_gather_concat, all_reduce_hist};
 use ygm::{owner_of, DistRuns, PackedAggregator, PackedBatch, RankCtx, World};
 
 use crate::cigraph::CiGraph;
-use crate::hypergraph::validate_triangle_parts;
+use crate::hypergraph::validate_triangles;
 use crate::ids::{AuthorId, Event, Interner, PageId, Timestamp};
 use crate::ingest::{parse_chunk, split_chunks};
 use crate::metrics::TripletMetrics;
 use crate::pipeline::{PipelineConfig, PipelineOutput, RunStats, StageTimings};
 use crate::project::{pack_pair, page_pairs_flat, run_length_pairs, unpack_pair};
 use crate::records::{Dataset, ReadError};
-
-/// `log2`-bucket histograms pad to the full `u64` range so
-/// [`all_reduce_hist`] sees equal lengths on every rank; trailing zeros are
-/// trimmed afterwards, reproducing the resident survey's resize-on-write
-/// length exactly (the resident histogram's last element is always nonzero).
-const HIST_BUCKETS: usize = 64;
 
 /// Pack a `(page, ts, author)` event into one order-preserving `u128` run
 /// key: `page·2⁹⁶ | (ts ⊕ 2⁶³)·2³² | author`. The timestamp sign-flip maps
@@ -224,7 +220,10 @@ struct RankOut {
     triangles_examined: u64,
     max_min_weight: u64,
     min_weight_log_hist: Vec<u64>,
-    /// Rank 0's wall-clock stage timings (zero elsewhere).
+    /// Barrier-aligned stage laps: projection from the start through the
+    /// CI edge count, survey through its reduction, validation through a
+    /// closing barrier. Each lap ends at a collective, so they measure the
+    /// slowest rank; the main thread reports rank 0's.
     timings: StageTimings,
     /// Text path only: the parse failure this rank hit, with the line count
     /// of every chunk before it already folded in by the main thread.
@@ -324,20 +323,13 @@ impl DistPipeline {
         let author_pages: DistRuns<u64> = DistRuns::new(nranks, "author_pages", budget);
         let pair_occurrences: DistRuns<u64> = DistRuns::new(nranks, "pair_occurrences", budget);
         let oriented_edges: DistRuns<u128> = DistRuns::new(nranks, "oriented_edges", budget);
-        // The merged on-demand harvest is published per rank into a plain
-        // bag so validation's quiescent cross-rank binary searches still
-        // have a random-access sorted shard to read.
-        let harvest_out: DistBag<u64> = DistBag::new(nranks);
-        let adjacency: DistAdjacency = DistAdjacency::new(nranks);
-        let found: DistBag<Triangle> = DistBag::new(nranks);
+        let wedge_checks: DistRuns<u128> = DistRuns::new(nranks, "wedge_checks", budget);
 
         let pe = &page_events;
         let ap = &author_pages;
         let occ_runs = &pair_occurrences;
         let edge_runs = &oriented_edges;
-        let harvest = &harvest_out;
-        let adj = &adjacency;
-        let found_ref = &found;
+        let wedges = &wedge_checks;
 
         let mut outs = World::run(nranks, move |ctx| {
             rank_main(
@@ -349,9 +341,7 @@ impl DistPipeline {
                 ap,
                 occ_runs,
                 edge_runs,
-                harvest,
-                adj,
-                found_ref,
+                wedges,
             )
         });
 
@@ -430,12 +420,11 @@ fn rank_main(
     author_pages: &DistRuns<u64>,
     pair_occurrences: &DistRuns<u64>,
     oriented_edges: &DistRuns<u128>,
-    harvest_out: &DistBag<u64>,
-    adjacency: &DistAdjacency,
-    found: &DistBag<Triangle>,
+    wedge_checks: &DistRuns<u128>,
 ) -> RankOut {
     let mut out = RankOut::default();
-    let t_rank0 = (ctx.rank() == 0).then(Instant::now);
+    let clock = Instant::now();
+    let mut laps = StageTimings::default();
     // One threshold policy for every shuffle in this run: the adaptive
     // bytes-per-batch default, or the test override.
     macro_rules! packed_agg {
@@ -573,6 +562,7 @@ fn rank_main(
     drop(occ_set);
     out.ci_edges = ctx.all_reduce_sum(out.edge_run.len() as u64);
     drop(project_span);
+    laps.projection = clock.elapsed();
 
     // ---- Stage 4: orient + partitioned triangle survey ------------------
     let survey_span = obs::span("dist.survey");
@@ -616,83 +606,63 @@ fn rank_main(
         to_sources.flush_all(ctx);
     }
     ctx.barrier();
-    // Build this rank's LocalCsr partition and publish its rows as the
-    // distributed adjacency tripoll's survey stage consumes. The merge
-    // cursor yields the partition in (src, dst) order, so the CSR builds
-    // streaming — no flat edge vector. Every row's source hashed here, so
-    // the insert is owner-local — a direct shard write instead of a
-    // self-send message per vertex.
+    // Build this rank's LocalCsr partition: the merge cursor yields it in
+    // (src, dst) order, so the CSR builds streaming — no flat edge vector.
+    // The survey stage intersects straight over these rows.
     let edge_set = oriented_edges.local_take(ctx);
     let csr = LocalCsr::from_sorted_edges(edge_set.cursor().map(edge_from_key));
     drop(edge_set);
     obs::counter("dist.ghost_vertices").add(csr.ghosts().len() as u64);
-    for (u, targets, weights) in csr.rows() {
-        let list: Vec<(u32, u64)> = targets
-            .iter()
-            .copied()
-            .zip(weights.iter().copied())
-            .collect();
-        adjacency.local_insert(ctx, u, Arc::new(list));
+    let wedge_bytes = batch_bytes.unwrap_or_else(|| {
+        ygm::adaptive_batch_bytes(<(u32, u32, u64) as ygm::Packable>::WIDTH, ctx.nranks())
+    });
+    // Wedge checks close on the owner of each wedge's middle vertex, which
+    // folds the statistics and keeps only triangles at or above the cutoff.
+    let partial = survey_stage(
+        ctx,
+        &csr,
+        cfg.min_triangle_weight,
+        wedge_checks,
+        wedge_bytes,
+    );
+    drop(csr);
+    (
+        out.triangles_examined,
+        out.max_min_weight,
+        out.min_weight_log_hist,
+    ) = partial.all_reduce(ctx);
+    // The T-score predicate needs only the replicated `P'`, so it applies
+    // locally; survivors are vertex-sorted so the validation kernel sees
+    // every shared `(a, b)` prefix as one run.
+    let pprime = &out.page_counts;
+    let mut kept = partial.kept;
+    if cfg.min_t_score > 0.0 {
+        kept.retain(|t| {
+            let [a, b, c] = t.vertices();
+            let ts = t_score(
+                t.min_weight(),
+                pprime[a as usize],
+                pprime[b as usize],
+                pprime[c as usize],
+            );
+            ts >= cfg.min_t_score
+        });
     }
-    ctx.barrier();
-    survey_stage(ctx, adjacency, found);
-    ctx.barrier();
-
-    // Reduce the survey statistics; keep survivors with their metadata.
-    let mine = found.local_take(ctx);
-    let mut hist = vec![0u64; HIST_BUCKETS];
-    let mut max_min = 0u64;
-    for t in &mine {
-        let mw = t.min_weight();
-        max_min = max_min.max(mw);
-        hist[63 - mw.max(1).leading_zeros() as usize] += 1;
-    }
-    out.triangles_examined = ctx.all_reduce_sum(mine.len() as u64);
-    out.max_min_weight = ctx.all_reduce_max(max_min);
-    let mut hist = all_reduce_hist(ctx, hist);
-    while hist.last() == Some(&0) {
-        hist.pop();
-    }
-    out.min_weight_log_hist = hist;
+    kept.sort_unstable_by_key(|t| t.vertices());
     drop(survey_span);
+    laps.survey = clock.elapsed() - laps.projection;
 
     // ---- Stage 5: hypergraph validation ---------------------------------
     let validate_span = obs::span("dist.validate");
     // On-demand author→pages harvest. Validation only ever reads the page
-    // lists of surveyed triangle vertices — a handful of authors — so
-    // instead of shuffling every event to its author owner (a second full
-    // per-event exchange plus a multimillion-pair sort), each rank scans its
-    // page-sorted run for the authors the survey surfaced and ships just
-    // those incidences. The packed sort + dedup at the owner reproduces
-    // `Btm`'s sorted, deduplicated page lists exactly — restricted to the
-    // authors anyone will look up.
-    // Pre-apply the validation keep predicates (min weight, t-score) before
-    // collecting the needed-author set: `pprime` is replicated, so every rank
-    // can evaluate them locally, and vertices of triangles the loop below
-    // skips never enter the harvest. Hot organic authors with huge page
-    // lists mostly ride in noise triangles, so this is the difference
-    // between shipping thousands of pairs and shipping a sizable fraction
-    // of the whole incidence.
-    let pprime = &out.page_counts;
-    let keep = |t: &Triangle| {
-        let mw = t.min_weight();
-        if mw < cfg.min_triangle_weight {
-            return false;
-        }
-        let [a, b, c] = t.vertices();
-        cfg.min_t_score <= 0.0
-            || t_score(
-                mw,
-                pprime[a as usize],
-                pprime[b as usize],
-                pprime[c as usize],
-            ) >= cfg.min_t_score
-    };
-    let mut needed: Vec<u32> = mine
-        .iter()
-        .filter(|t| keep(t))
-        .flat_map(|t| t.vertices())
-        .collect();
+    // lists of kept triangle vertices — a handful of authors — so instead
+    // of shuffling every event to its author owner (a second full per-event
+    // exchange plus a multimillion-pair sort), each rank scans its
+    // page-sorted run for the authors the survey kept and ships just those
+    // incidences. The packed sort + dedup at the owner reproduces `Btm`'s
+    // sorted, deduplicated page lists exactly — restricted to the authors
+    // anyone will look up.
+    let mut needed: Vec<u32> = kept.iter().flat_map(|t| t.vertices()).collect();
     needed.sort_unstable();
     needed.dedup();
     let mut needed = all_gather_concat(ctx, needed);
@@ -724,76 +694,83 @@ fn rank_main(
     // Dropping the event run set deletes any spill segments behind it.
     drop(my_events);
     ctx.barrier();
-    // Merge + dedup the harvested incidences (the cursor yields duplicates
-    // adjacent) and publish the rank's sorted run for cross-rank binary
-    // searches. The harvest is restricted to surveyed authors, so this
-    // materialization is tiny by construction.
-    {
-        let harvested = author_pages.local_take(ctx);
-        let mut merged: Vec<u64> = harvested.cursor().collect();
-        merged.dedup();
-        harvest_out.with_shard_mut(ctx.rank(), |shard| *shard = merged);
-    }
-    ctx.barrier();
-    // Scratch for the three authors' page runs, copied out of the sorted
-    // packed shards under a binary search — no per-author list clones.
-    let mut page_scratch: [Vec<PageId>; 3] = Default::default();
-    let fetch_pages = |author: u32, into: &mut Vec<PageId>| {
-        into.clear();
-        let owner = owner_of(&author, ctx.nranks());
-        // Quiescent reads: the harvest barrier drained every message, and
-        // validation sends none, so owner-shard page runs are stable.
-        harvest_out.with_shard(owner, |shard| {
-            let key = u64::from(author) << 32;
-            let lo = shard.partition_point(|&p| p < key);
-            let hi = lo + shard[lo..].partition_point(|&p| p >> 32 == u64::from(author));
-            into.extend(shard[lo..hi].iter().map(|&p| PageId(p as u32)));
-        });
-    };
-    for t in mine {
-        let mw = t.min_weight();
-        if mw < cfg.min_triangle_weight {
-            continue;
-        }
-        let [a, b, c] = t.vertices();
-        let ts = t_score(
-            mw,
-            pprime[a as usize],
-            pprime[b as usize],
-            pprime[c as usize],
-        );
-        if cfg.min_t_score > 0.0 && ts < cfg.min_t_score {
-            continue;
-        }
-        let [pa, pb, pc] = &mut page_scratch;
-        fetch_pages(a, pa);
-        fetch_pages(b, pb);
-        fetch_pages(c, pc);
-        let metrics = validate_triangle_parts(&t, [pa, pb, pc], pprime);
-        out.kept.push((
-            SurveyedTriangle {
+    // Each owner turns its merged harvest into a page-run table, and every
+    // rank takes every owner's table once (an all-gather of shared handles,
+    // not of the lists), so the kernel below borrows page runs as slices —
+    // no lock and no copy per lookup.
+    let harvested = author_pages.local_take(ctx);
+    let mine = Arc::new(PageRuns::from_sorted_pairs(harvested.cursor()));
+    drop(harvested);
+    let tables: Vec<Arc<PageRuns>> = ctx.all_gather(mine);
+    let metrics = validate_triangles(&kept, pprime, |a| {
+        tables[owner_of(&a, ctx.nranks())].pages(a)
+    });
+    // `TripletMetrics::t` is the survey's T-score: the same `t_score` call on
+    // the same `P'` entries.
+    out.kept = kept
+        .into_iter()
+        .zip(metrics)
+        .map(|(t, m)| {
+            let surveyed = SurveyedTriangle {
                 triangle: t,
-                min_weight: mw,
-                t_score: ts,
-            },
-            metrics,
-        ));
-    }
+                min_weight: m.min_ci_weight,
+                t_score: m.t,
+            };
+            (surveyed, m)
+        })
+        .collect();
     obs::counter("dist.triplets_validated").add(out.kept.len() as u64);
+    // The closing barrier makes the validation lap the slowest rank's.
+    ctx.barrier();
     drop(validate_span);
-
-    if let Some(t0) = t_rank0 {
-        // Coarse end-to-end time on rank 0; the per-stage split is not
-        // observable from one rank of an interleaved SPMD program, so the
-        // whole wall time is reported as the survey stage (the dominant
-        // one). Timings are advisory — equivalence is on everything else.
-        out.timings = StageTimings {
-            projection: Duration::default(),
-            survey: t0.elapsed(),
-            validation: Duration::default(),
-        };
-    }
+    laps.validation = clock.elapsed() - laps.projection - laps.survey;
+    out.timings = laps;
     out
+}
+
+/// One owner's harvested author→pages incidence as page runs: `authors`
+/// ascending, `pages[offsets[i]..offsets[i + 1]]` the sorted, deduplicated
+/// page list of `authors[i]` — the slice shape [`validate_triangles`]
+/// borrows.
+struct PageRuns {
+    authors: Vec<u32>,
+    offsets: Vec<usize>,
+    pages: Vec<PageId>,
+}
+
+impl PageRuns {
+    /// Build from packed `(author, page)` pairs in ascending order,
+    /// duplicates adjacent (a run stack's merge cursor).
+    fn from_sorted_pairs(pairs: impl Iterator<Item = u64>) -> Self {
+        let mut runs = PageRuns {
+            authors: Vec::new(),
+            offsets: vec![0],
+            pages: Vec::new(),
+        };
+        let mut last = None;
+        for key in pairs {
+            if last == Some(key) {
+                continue;
+            }
+            last = Some(key);
+            let (a, p) = unpack_pair(key);
+            if runs.authors.last() != Some(&a) {
+                runs.authors.push(a);
+                runs.offsets.push(runs.pages.len());
+            }
+            runs.pages.push(PageId(p));
+            *runs.offsets.last_mut().expect("offsets never empty") = runs.pages.len();
+        }
+        runs
+    }
+
+    /// The page list of `author`, empty if it was not harvested here.
+    fn pages(&self, author: u32) -> &[PageId] {
+        match self.authors.binary_search(&author) {
+            Ok(i) => &self.pages[self.offsets[i]..self.offsets[i + 1]],
+            Err(_) => &[],
+        }
+    }
 }
 
 /// One rank's streamed share of the input. Variants hold borrows (or, for

@@ -8,6 +8,8 @@
 //! Note there is deliberately no time bound here — the paper validates spatial
 //! coordination only (its §4.2 names time-windowed hyperedges as future work).
 
+use std::ops::Range;
+
 use rayon::prelude::*;
 
 use crate::btm::Btm;
@@ -92,39 +94,127 @@ pub fn hyperedge_weight(btm: &Btm, x: AuthorId, y: AuthorId, z: AuthorId) -> u64
 }
 
 /// Validate one surveyed triangle: combine its CI metadata (weights and `P'`)
-/// with the hypergraph measures computed from `btm`.
+/// with the hypergraph measures computed from `btm` — [`validate_triangles`]
+/// on a one-element list.
 pub fn validate_triangle(btm: &Btm, ci_page_counts: &[u64], t: &Triangle) -> TripletMetrics {
-    let [a, b, c] = t.vertices();
-    validate_triangle_parts(
-        t,
-        [
-            btm.author_pages(AuthorId(a)),
-            btm.author_pages(AuthorId(b)),
-            btm.author_pages(AuthorId(c)),
-        ],
-        ci_page_counts,
-    )
+    validate_triangles(std::slice::from_ref(t), ci_page_counts, |a| {
+        btm.author_pages(AuthorId(a))
+    })
+    .pop()
+    .expect("one triangle in, one triplet out")
 }
 
-/// The representation-independent core of [`validate_triangle`]: compute a
-/// triangle's [`TripletMetrics`] from the three authors' sorted,
-/// deduplicated page lists (`pages[i]` belongs to `t.vertices()[i]`) and the
-/// global `P'` vector. Both the resident path (which borrows the lists from
-/// a [`Btm`]) and the distributed pipeline (which fetches them from
-/// owner-rank shards) delegate here, so the two paths compute the exact same
-/// floating-point expressions — byte-identical scores by construction.
-pub fn validate_triangle_parts(
+/// The validation kernel both engines run: compute [`TripletMetrics`] for
+/// each triangle from the authors' sorted, deduplicated page lists
+/// (`pages(x)` borrows author `x`'s list) and the global `P'` vector, aligned
+/// with `triangles`.
+///
+/// Triangles are taken in runs of consecutive entries sharing their two
+/// lowest vertices `(a, b)`. A run computes `P_a ∩ P_b` once, and each of
+/// its triangles counts `w_xyz = |(P_a ∩ P_b) ∩ P_c|`: by a branch-free scan
+/// of `P_c` against a bitset of `P_a ∩ P_b`, or — when `P_c` is more than
+/// 64× longer — by galloping through the adaptive kernel. A run of one
+/// falls back to [`triple_intersection_count`]. Any order is correct — the
+/// counts are the same integers either way — and a vertex-sorted list (the
+/// survey's order) makes every shared prefix a single run. Both the resident
+/// [`validate_all`] (pages borrowed from a [`Btm`]) and the distributed
+/// pipeline (pages borrowed from the harvested owner shards) call this, so
+/// the floating-point expressions are the same by construction.
+pub fn validate_triangles<'p>(
+    triangles: &[Triangle],
+    ci_page_counts: &[u64],
+    pages: impl Fn(u32) -> &'p [PageId],
+) -> Vec<TripletMetrics> {
+    use coordination_graph::intersect::{intersect_count, intersect_indices};
+    let mut out = Vec::with_capacity(triangles.len());
+    let mut ab: Vec<PageId> = Vec::new();
+    let mut ab_bits = PageBits::default();
+    for run in triangles.chunk_by(|x, y| (x.a, x.b) == (y.a, y.b)) {
+        let (pa, pb) = (pages(run[0].a), pages(run[0].b));
+        if let [t] = run {
+            let pc = pages(t.c);
+            let w_xyz = triple_intersection_count(pa, pb, pc);
+            out.push(triplet_metrics(t, w_xyz, [pa, pb, pc], ci_page_counts));
+            continue;
+        }
+        ab.clear();
+        intersect_indices(pa, pb, &mut |i, _| ab.push(pa[i]));
+        ab_bits.insert(&ab);
+        for t in run {
+            let pc = pages(t.c);
+            let w_xyz = if pc.len() > BITSET_SCAN_RATIO * ab.len() {
+                intersect_count(&ab, pc)
+            } else {
+                ab_bits.count(pc)
+            };
+            out.push(triplet_metrics(t, w_xyz, [pa, pb, pc], ci_page_counts));
+        }
+        ab_bits.remove(&ab);
+    }
+    out
+}
+
+/// Length ratio `|P_c| / |P_a ∩ P_b|` above which [`validate_triangles`]
+/// gallops from the short side instead of scanning `P_c` against the bitset.
+/// A bit test costs about a nanosecond and a gallop step several (it
+/// mispredicts), so the crossover sits far above the merge-vs-gallop
+/// [`coordination_graph::intersect::GALLOP_RATIO`]: on `oct2016_window1h`
+/// (2-rank `DistPipeline`) raising it from 8 to 64 cut rank 0's kernel time
+/// by about a fifth.
+const BITSET_SCAN_RATIO: usize = 64;
+
+/// A bitset over page ids holding one run's `P_a ∩ P_b`. Counting a third
+/// list against it costs one bit test per page with no data-dependent
+/// branch, where a merge of two comparable lists mispredicts on most steps.
+#[derive(Default)]
+struct PageBits {
+    words: Vec<u64>,
+    /// One past the largest page id inserted; ids at or above it are absent.
+    end: u64,
+}
+
+impl PageBits {
+    /// Insert a sorted page list (the set must be empty).
+    fn insert(&mut self, pages: &[PageId]) {
+        self.end = pages.last().map_or(0, |p| u64::from(p.0) + 1);
+        let need = (self.end as usize).div_ceil(64);
+        if self.words.len() < need {
+            self.words.resize(need, 0);
+        }
+        for p in pages {
+            self.words[(p.0 / 64) as usize] |= 1 << (p.0 % 64);
+        }
+    }
+
+    /// Remove the list last inserted, leaving the set empty.
+    fn remove(&mut self, pages: &[PageId]) {
+        for p in pages {
+            self.words[(p.0 / 64) as usize] = 0;
+        }
+        self.end = 0;
+    }
+
+    /// `|set ∩ pages|` for a sorted page list.
+    fn count(&self, pages: &[PageId]) -> u64 {
+        let below = pages.partition_point(|p| u64::from(p.0) < self.end);
+        pages[..below]
+            .iter()
+            .map(|p| (self.words[(p.0 / 64) as usize] >> (p.0 % 64)) & 1)
+            .sum()
+    }
+}
+
+/// Assemble one triangle's metrics from its three-way page intersection
+/// `w_xyz` and the authors' page lists (`pages[i]` belongs to
+/// `t.vertices()[i]`).
+fn triplet_metrics(
     t: &Triangle,
+    w_xyz: u64,
     pages: [&[PageId]; 3],
     ci_page_counts: &[u64],
 ) -> TripletMetrics {
     let [a, b, c] = t.vertices();
-    let w_xyz = triple_intersection_count(pages[0], pages[1], pages[2]);
-    let (pa, pb, pc) = (
-        pages[0].len() as u64,
-        pages[1].len() as u64,
-        pages[2].len() as u64,
-    );
+    let [pa, pb, pc] = pages.map(|p| p.len() as u64);
     let min_w = t.min_weight();
     TripletMetrics {
         authors: [AuthorId(a), AuthorId(b), AuthorId(c)],
@@ -143,20 +233,46 @@ pub fn validate_triangle_parts(
 }
 
 /// Validate a batch of triangles in parallel, returning metrics in the same
-/// order.
+/// order. The list is cut into chunks that never split a run of shared
+/// `(a, b)` prefixes, and each chunk runs [`validate_triangles`].
 pub fn validate_all(
     btm: &Btm,
     ci_page_counts: &[u64],
     triangles: &[Triangle],
 ) -> Vec<TripletMetrics> {
     let _stage = obs::span("validate");
-    let metrics: Vec<TripletMetrics> = triangles
+    let chunks = prefix_aligned_chunks(triangles, 4 * rayon::current_num_threads());
+    let metrics: Vec<TripletMetrics> = chunks
         .par_iter()
-        .map(|t| validate_triangle(btm, ci_page_counts, t))
-        .collect();
+        .map(|r| {
+            validate_triangles(&triangles[r.clone()], ci_page_counts, |a| {
+                btm.author_pages(AuthorId(a))
+            })
+        })
+        .collect::<Vec<Vec<TripletMetrics>>>()
+        .concat();
     obs::counter("validate.triplets").add(metrics.len() as u64);
     obs::record_stage_rss("validate");
     metrics
+}
+
+/// Cut `0..triangles.len()` into about `pieces` contiguous ranges, moving
+/// each cut forward past any run of triangles sharing their `(a, b)` prefix.
+fn prefix_aligned_chunks(triangles: &[Triangle], pieces: usize) -> Vec<Range<usize>> {
+    let n = triangles.len();
+    let target = n.div_ceil(pieces.max(1)).max(1);
+    let prefix = |i: usize| (triangles[i].a, triangles[i].b);
+    let mut chunks = Vec::new();
+    let mut lo = 0;
+    while lo < n {
+        let mut hi = (lo + target).min(n);
+        while hi < n && prefix(hi) == prefix(hi - 1) {
+            hi += 1;
+        }
+        chunks.push(lo..hi);
+        lo = hi;
+    }
+    chunks
 }
 
 #[cfg(test)]
@@ -275,6 +391,91 @@ mod tests {
         assert_eq!(ms.len(), 2);
         assert_eq!(ms[0].min_ci_weight, 4);
         assert_eq!(ms[1].min_ci_weight, 1);
+    }
+
+    /// Page lists from `seed`: a few hyperactive authors with long lists and
+    /// many short ones, all over one small page space so they overlap.
+    fn skewed_page_lists(seed: u64, n_authors: u32) -> Vec<Vec<PageId>> {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+        (0..n_authors)
+            .map(|_| {
+                let len = if rng.gen_bool(0.25) {
+                    rng.gen_range(200..1500)
+                } else {
+                    rng.gen_range(0..25)
+                };
+                let mut v: Vec<u32> = (0..len).map(|_| rng.gen_range(0..2000)).collect();
+                v.sort_unstable();
+                v.dedup();
+                pages(&v)
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// The shared-prefix kernel gives every triangle exactly the
+        /// per-triangle linear reference's `w_xyz` and bit-identical `C` and
+        /// `T`, on unsorted lists whose `(a, b)` prefixes repeat (in runs and
+        /// scattered) over skewed page lists.
+        #[test]
+        fn shared_prefix_validator_matches_per_triangle_linear(
+            seed in 0u64..u64::MAX,
+            n_authors in 3u32..12,
+            picks in proptest::collection::vec((0u32..64, 0u32..64, 1u64..40), 1..120),
+        ) {
+            let lists = skewed_page_lists(seed, n_authors);
+            let ci_pages: Vec<u64> = lists.iter().map(|l| l.len() as u64 + 1).collect();
+            // Few prefixes, many third vertices: prefix `i % 4` repeats in
+            // both adjacent runs (consecutive picks) and scattered entries.
+            let triangles: Vec<Triangle> = picks
+                .iter()
+                .filter_map(|&(prefix, c, w)| {
+                    let a = prefix % 4 % n_authors;
+                    let b = (a + 1 + prefix / 4 % 2) % n_authors;
+                    let c = c % n_authors;
+                    (a != b && b != c && a != c).then(|| Triangle::new(a, b, c, w, w + 1, w + 2))
+                })
+                .collect();
+            let got = validate_triangles(&triangles, &ci_pages, |a| &lists[a as usize]);
+            proptest::prop_assert_eq!(got.len(), triangles.len());
+            for (t, m) in triangles.iter().zip(&got) {
+                let [a, b, c] = t.vertices().map(|x| &lists[x as usize]);
+                let w = triple_intersection_count_linear(a, b, c);
+                let [pa, pb, pc] = [a, b, c].map(|l| l.len() as u64);
+                let [ca, cb, cc] = t.vertices().map(|x| ci_pages[x as usize]);
+                proptest::prop_assert_eq!(m.hyper_weight, w);
+                proptest::prop_assert_eq!(m.page_counts, [pa, pb, pc]);
+                proptest::prop_assert_eq!(m.c.to_bits(), c_score(w, pa, pb, pc).to_bits());
+                proptest::prop_assert_eq!(
+                    m.t.to_bits(),
+                    t_score(t.min_weight(), ca, cb, cc).to_bits()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn prefix_aligned_chunks_never_split_a_prefix() {
+        let mut triangles = Vec::new();
+        for a in 0..5u32 {
+            for c in 0..(a * 3 + 1) {
+                triangles.push(Triangle::new(a, 10, 20 + c, 1, 1, 1));
+            }
+        }
+        for pieces in 1..12 {
+            let chunks = prefix_aligned_chunks(&triangles, pieces);
+            assert_eq!(chunks.first().map(|r| r.start), Some(0));
+            assert_eq!(chunks.last().map(|r| r.end), Some(triangles.len()));
+            for pair in chunks.windows(2) {
+                assert_eq!(pair[0].end, pair[1].start);
+                let (x, y) = (triangles[pair[0].end - 1], triangles[pair[1].start]);
+                assert_ne!((x.a, x.b), (y.a, y.b), "{pieces} pieces split a prefix");
+            }
+        }
+        assert!(prefix_aligned_chunks(&[], 4).is_empty());
     }
 
     #[test]

@@ -2,109 +2,190 @@
 //!
 //! This driver reproduces the *communication structure* of real TriPoll's
 //! push-based algorithm: the oriented adjacency is partitioned across ranks by
-//! vertex hash; the rank owning wedge apex `u` pushes, for each oriented edge
-//! `(u, v)`, a *wedge-check* message carrying `out(u)` to the owner of `v`,
-//! which intersects it against its local `out(v)` and emits the closed
-//! triangles into a distributed bag. A single barrier separates the push
-//! superstep from result extraction.
+//! vertex hash (one [`LocalCsr`] per rank); the rank owning wedge apex `u`
+//! ships `out(u)` once to every rank that owns some `v ∈ out(u)`, and each of
+//! those ranks closes the wedges `(u, v)` it owns by intersecting against its
+//! local `out(v)`. A single barrier separates the push superstep from the
+//! closing pass.
 //!
-//! On one node this is slower than the shared-memory rayon driver in
-//! [`crate::enumerate`] (every wedge list is boxed into a message), but it
-//! demonstrates and tests the exact program the paper ran on MPI clusters.
+//! Wedge checks ride the packed shuffle like every other hand-off: each
+//! out-list entry is one fixed-width `(u, x, w_ux)` item through a
+//! [`PackedAggregator`] labelled `wedge_checks` (so `ygm.wedge_checks.*`
+//! counts its bytes, items and batches) into a [`DistRuns`] run stack (so the
+//! shuffle budget bounds it and it spills like the rest). The closing rank
+//! reads the arrived lists back grouped by apex from the run stack's merge
+//! cursor and intersects them straight over its [`LocalCsr`] rows with the
+//! shared adaptive kernel — no adjacency copy, no per-triangle message.
+//!
+//! The survey statistics (examined count, max min-weight, log histogram) are
+//! folded *as triangles close*, and only triangles passing the cutoff are
+//! kept — below-cutoff triangles never outlive their wedge check
+//! ([`SurveyPartial`]).
 
-use std::sync::Arc;
-
-use ygm::container::{DistBag, DistMap};
+use coordination_graph::{intersect_indices, LocalCsr};
 use ygm::partition::owner_of;
-use ygm::{Aggregator, RankCtx, World};
+use ygm::{DistRuns, Packable, PackedAggregator, PackedBatch, RankCtx, World};
 
 use crate::enumerate::Triangle;
 use crate::orient::OrientedGraph;
 
-/// The partitioned oriented adjacency the distributed survey consumes:
-/// vertex → out-list (sorted by target id), hash-partitioned by vertex id
-/// with [`ygm::owner_of`]. Out-lists are `Arc`'d because the push superstep
-/// ships them in wedge-check messages.
-pub type DistAdjacency = DistMap<u32, Arc<Vec<(u32, u64)>>>;
+/// `log2`-bucket histograms pad to the full `u64` range so every rank's
+/// partial has the same length for the all-reduce; trailing zeros are trimmed
+/// afterwards, reproducing the resident survey's resize-on-write length (its
+/// last bucket is always nonzero).
+pub const HIST_BUCKETS: usize = 64;
 
-/// Load a resident [`OrientedGraph`] into a [`DistAdjacency`], each rank
-/// inserting the out-lists of the vertices it owns. SPMD stage: call from
-/// every rank, then `ctx.barrier()` before surveying. Vertices with empty
-/// out-lists are skipped — the survey treats a missing entry as empty.
-pub fn load_oriented(ctx: &RankCtx, oriented: &OrientedGraph, adjacency: &DistAdjacency) {
-    for u in 0..oriented.n() {
-        if owner_of(&u, ctx.nranks()) == ctx.rank() {
-            let (nbrs, ws) = oriented.out(u);
-            if nbrs.is_empty() {
-                continue;
-            }
-            let list: Vec<(u32, u64)> = nbrs.iter().copied().zip(ws.iter().copied()).collect();
-            adjacency.async_insert(ctx, u, Arc::new(list));
+/// Pack a wedge-check item `(u, x, w_ux)` into an order-preserving `u128` run
+/// key: numeric order is `(u, x)` order, so the closing rank's merge cursor
+/// yields each apex's out-list contiguous and sorted by target.
+#[inline]
+fn wedge_key(u: u32, x: u32, w: u64) -> u128 {
+    ((u as u128) << 96) | ((x as u128) << 64) | w as u128
+}
+
+/// Inverse of [`wedge_key`].
+#[inline]
+fn wedge_from_key(k: u128) -> (u32, u32, u64) {
+    ((k >> 96) as u32, (k >> 64) as u32, k as u64)
+}
+
+/// One rank's share of a survey: statistics folded over every triangle this
+/// rank closed, plus the closed triangles that passed the cutoff (in closing
+/// order). [`SurveyPartial::all_reduce`] combines the statistics across
+/// ranks; the kept triangles stay where they closed.
+#[derive(Clone, Debug)]
+pub struct SurveyPartial {
+    /// Triangles closed on this rank (before the cutoff).
+    pub examined: u64,
+    /// Largest minimum edge weight among them (0 if none).
+    pub max_min_weight: u64,
+    /// `hist[i]` counts closed triangles with `min_weight in [2^i, 2^(i+1))`.
+    pub min_weight_log_hist: [u64; HIST_BUCKETS],
+    /// Closed triangles with `min_weight() >= cutoff`.
+    pub kept: Vec<Triangle>,
+}
+
+impl Default for SurveyPartial {
+    fn default() -> Self {
+        SurveyPartial {
+            examined: 0,
+            max_min_weight: 0,
+            min_weight_log_hist: [0; HIST_BUCKETS],
+            kept: Vec::new(),
         }
     }
 }
 
-/// One wedge-check request: close wedges through apex `u` at the owner of
-/// `v`. The `Arc` makes staging a request one pointer bump — the out-list is
-/// shared, never copied per edge.
-type WedgeCheck = (u32, u32, u64, Arc<Vec<(u32, u64)>>);
+impl SurveyPartial {
+    /// Fold one closed triangle with minimum edge weight `mw` into the
+    /// statistics; only if it passes `cutoff` is it built (`make`) and kept.
+    #[inline]
+    fn fold(&mut self, mw: u64, cutoff: u64, make: impl FnOnce() -> Triangle) {
+        self.examined += 1;
+        self.max_min_weight = self.max_min_weight.max(mw);
+        self.min_weight_log_hist[63 - mw.max(1).leading_zeros() as usize] += 1;
+        if mw >= cutoff {
+            self.kept.push(make());
+        }
+    }
 
-/// The TriPoll push superstep as a *composable* SPMD stage: for each owned
-/// apex `u` and oriented edge `(u, v)`, ship the wedge list `out(u)` to the
-/// owner of `v`, which intersects it against its local `out(v)` and emits
-/// every closed triangle into `found` exactly once (on the closing rank).
+    /// Collective: the global `(examined, max_min_weight, log_hist)` over all
+    /// ranks, the histogram trimmed of trailing empty buckets exactly like
+    /// the resident [`crate::survey::survey`]'s. Every rank must call it, in
+    /// the same order relative to its other collectives.
+    pub fn all_reduce(&self, ctx: &RankCtx) -> (u64, u64, Vec<u64>) {
+        let stats = (self.examined, self.max_min_weight, self.min_weight_log_hist);
+        let mut examined = 0;
+        let mut max_min = 0;
+        let mut hist = [0u64; HIST_BUCKETS];
+        for (e, m, h) in ctx.all_gather(stats) {
+            examined += e;
+            max_min = max_min.max(m);
+            for (acc, x) in hist.iter_mut().zip(h) {
+                *acc += x;
+            }
+        }
+        let used = hist.iter().rposition(|&x| x > 0).map_or(0, |i| i + 1);
+        (examined, max_min, hist[..used].to_vec())
+    }
+}
+
+/// The TriPoll push superstep and closing pass as one composable SPMD stage.
+/// Call it from every rank with the rank's oriented partition `csr` (rows of
+/// exactly the sources this rank owns under [`ygm::owner_of`], each row
+/// sorted by target), a shared `wedges` run stack and the exchange flush
+/// threshold; it returns this rank's [`SurveyPartial`].
 ///
-/// Wedge-check requests are batched through an [`Aggregator`] with the
-/// adaptive bytes-per-batch threshold rather than sent one active message
-/// per oriented edge, so the per-message overhead (boxed closure + channel
-/// send + termination-detection counters) is paid once per batch. Each
-/// request carries its `out(u)` as an `Arc` clone — one pointer bump per
-/// edge, the list itself is shipped once per batch destination.
+/// * **Push:** for every local apex `u`, `out(u)` is shipped once to each
+///   distinct owner of a `v ∈ out(u)`, as `|out(u)|` packed `(u, x, w_ux)`
+///   items under the `wedge_checks` label.
+/// * **Close** (after the stage's own barrier): the arrived out-lists come
+///   back from this rank's run stack grouped by apex; for each `v ∈ out(u)`
+///   that is a local row — exactly the `v` this rank owns with out-edges —
+///   `out(u) ∩ out(v)` runs through the shared adaptive kernel, and each
+///   closed triangle is folded into the partial at once.
 ///
-/// This is the building block larger SPMD programs (e.g.
-/// `coordination_core`'s distributed pipeline) embed between their own
-/// stages; [`distributed_survey`] is the self-contained wrapper around it.
-/// The caller must follow with `ctx.barrier()` before reading `found` —
-/// wedge-check messages are only guaranteed delivered once the barrier's
-/// termination detection has drained them.
-pub fn survey_stage(ctx: &RankCtx, adjacency: &DistAdjacency, found: &DistBag<Triangle>) {
-    let adj = adjacency.clone();
-    let bag = found.clone();
-    let mut checks = Aggregator::adaptive(
-        ctx,
-        move |inner: &RankCtx, (u, v, w_uv, out_u): WedgeCheck| {
-            // Owner of v closes wedges: intersect out(u) with out(v).
-            let Some(out_v) = adj.global_get(&v) else {
-                return;
-            };
-            let mut ai = 0;
-            let mut bi = 0;
-            while ai < out_u.len() && bi < out_v.len() {
-                let (x, w_ux) = out_u[ai];
-                let (y, w_vy) = out_v[bi];
-                if x == v {
-                    ai += 1;
-                    continue;
-                }
-                match x.cmp(&y) {
-                    std::cmp::Ordering::Less => ai += 1,
-                    std::cmp::Ordering::Greater => bi += 1,
-                    std::cmp::Ordering::Equal => {
-                        let t = Triangle::new(u, v, x, w_uv, w_ux, w_vy);
-                        bag.local_insert(inner, t);
-                        ai += 1;
-                        bi += 1;
+/// Every triangle closes exactly once, on the owner of its wedge's middle
+/// vertex, so the partials tile the triangle set.
+pub fn survey_stage(
+    ctx: &RankCtx,
+    csr: &LocalCsr,
+    cutoff: u64,
+    wedges: &DistRuns<u128>,
+    batch_bytes: usize,
+) -> SurveyPartial {
+    {
+        let runs = wedges.clone();
+        let mut checks = PackedAggregator::<(u32, u32, u64), _>::with_batch_bytes(
+            ctx,
+            "wedge_checks",
+            batch_bytes,
+            move |inner: &RankCtx, batch: PackedBatch<(u32, u32, u64)>| {
+                runs.local_absorb(inner, batch.iter().map(|(u, x, w)| wedge_key(u, x, w)));
+            },
+        );
+        let mut wanted = vec![false; ctx.nranks()];
+        for (u, targets, weights) in csr.rows() {
+            for &v in targets {
+                wanted[owner_of(&v, ctx.nranks())] = true;
+            }
+            for (dest, want) in wanted.iter_mut().enumerate() {
+                if std::mem::take(want) {
+                    for (&x, &w) in targets.iter().zip(weights) {
+                        checks.push(ctx, dest, (u, x, w));
                     }
                 }
             }
-        },
-    );
-    adjacency.local_for_each(ctx, |&u, out_u| {
-        for &(v, w_uv) in out_u.iter() {
-            checks.push_keyed(ctx, &v, (u, v, w_uv, Arc::clone(out_u)));
         }
-    });
-    checks.flush_all(ctx);
+        checks.flush_all(ctx);
+    }
+    ctx.barrier();
+
+    let mut partial = SurveyPartial::default();
+    let arrived = wedges.local_take(ctx);
+    let mut items = arrived.cursor().map(wedge_from_key).peekable();
+    let (mut xs, mut ws): (Vec<u32>, Vec<u64>) = (Vec::new(), Vec::new());
+    while let Some(&(u, _, _)) = items.peek() {
+        xs.clear();
+        ws.clear();
+        while let Some((_, x, w)) = items.next_if(|&(apex, _, _)| apex == u) {
+            xs.push(x);
+            ws.push(w);
+        }
+        for (&v, &w_uv) in xs.iter().zip(&ws) {
+            let Some((v_nbrs, v_ws)) = csr.out(v) else {
+                continue;
+            };
+            intersect_indices(&xs, v_nbrs, &mut |ai, bi| {
+                // triangle u–v–x with x = xs[ai]: w_uv, w_ux, w_vx
+                let (w_ux, w_vx) = (ws[ai], v_ws[bi]);
+                partial.fold(w_uv.min(w_ux).min(w_vx), cutoff, || {
+                    Triangle::new(u, v, xs[ai], w_uv, w_ux, w_vx)
+                });
+            });
+        }
+    }
+    partial
 }
 
 /// Result of a distributed survey.
@@ -119,49 +200,34 @@ pub struct DistSurveyResult {
 }
 
 /// Enumerate all triangles with minimum edge weight `>= cutoff` using
-/// `nranks` ygm ranks.
+/// `nranks` ygm ranks: each rank takes the out-lists of the vertices it owns
+/// as its [`LocalCsr`] partition and runs [`survey_stage`].
 pub fn distributed_survey(
     oriented: &OrientedGraph,
     cutoff: u64,
     nranks: usize,
 ) -> DistSurveyResult {
-    // Distribute the oriented adjacency: vertex → out-list.
-    let adjacency: DistAdjacency = DistMap::new(nranks);
-    let found: DistBag<Triangle> = DistBag::new(nranks);
-
-    // Stage the adjacency once, outside the SPMD region, directly into the
-    // owner shards (simulating the graph already being loaded in place).
-    {
-        let staging = World::new(nranks);
-        let o = &oriented;
-        let lm = &adjacency;
-        staging.launch(move |ctx| {
-            load_oriented(ctx, o, lm);
-            ctx.barrier();
-        });
-    }
-
-    let adjacency2 = adjacency.clone();
-    let found2 = found.clone();
-    let per_rank: Vec<(u64, u64)> = World::run(nranks, move |ctx| {
-        let mut local_total = 0u64;
-        survey_stage(ctx, &adjacency2, &found2);
-        ctx.barrier();
-        // Count and locally filter.
-        let mine = found2.local_take(ctx);
-        local_total += mine.len() as u64;
-        for t in &mine {
-            if t.min_weight() >= cutoff {
-                found2.local_insert(ctx, *t);
-            }
-        }
-        ctx.barrier();
-        (local_total, ctx.messages_sent())
+    let wedges: DistRuns<u128> = DistRuns::new(nranks, "wedge_checks", None);
+    let wedges = &wedges;
+    let per_rank: Vec<(Vec<Triangle>, u64, u64)> = World::run(nranks, move |ctx| {
+        let csr = LocalCsr::from_sorted_edges(
+            (0..oriented.n())
+                .filter(|u| owner_of(u, ctx.nranks()) == ctx.rank())
+                .flat_map(|u| {
+                    let (nbrs, ws) = oriented.out(u);
+                    nbrs.iter().zip(ws).map(move |(&v, &w)| (u, v, w))
+                }),
+        );
+        let batch_bytes =
+            ygm::adaptive_batch_bytes(<(u32, u32, u64) as Packable>::WIDTH, ctx.nranks());
+        let partial = survey_stage(ctx, &csr, cutoff, wedges, batch_bytes);
+        let (examined, _, _) = partial.all_reduce(ctx);
+        (partial.kept, examined, ctx.messages_sent())
     });
 
-    let total_triangles: u64 = per_rank.iter().map(|&(t, _)| t).sum();
-    let messages_sent = per_rank.iter().map(|&(_, m)| m).max().unwrap_or(0);
-    let mut triangles = found.drain_into_local();
+    let total_triangles = per_rank.first().map_or(0, |&(_, e, _)| e);
+    let messages_sent = per_rank.iter().map(|&(_, _, m)| m).max().unwrap_or(0);
+    let mut triangles: Vec<Triangle> = per_rank.into_iter().flat_map(|(k, _, _)| k).collect();
     triangles.sort_unstable_by_key(|t| t.vertices());
     DistSurveyResult {
         triangles,

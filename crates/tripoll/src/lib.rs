@@ -45,7 +45,7 @@ pub mod orient;
 pub mod survey;
 pub mod truss;
 
-pub use distributed::{load_oriented, survey_stage, DistAdjacency};
+pub use distributed::{survey_stage, SurveyPartial};
 pub use enumerate::Triangle;
 pub use graph::{GraphRef, SubsetView, ThresholdView, WeightedGraph};
 pub use orient::OrientedGraph;

@@ -94,40 +94,51 @@ fn distributed_survey_over_compressed_csr_matches_resident() {
 
 #[test]
 fn composable_survey_stage_runs_over_compressed_csr() {
-    // The promoted stage API (load_oriented + survey_stage inside one SPMD
-    // region) over the compressed view: same triangles as a full survey.
-    use std::sync::Arc;
-    use tripoll::{load_oriented, survey_stage, DistAdjacency, Triangle};
-    use ygm::container::{DistBag, DistMap};
-    use ygm::World;
+    // The stage API inside one SPMD region, over an orientation built from
+    // the compressed view: each rank surveys its own LocalCsr partition, the
+    // kept triangles tile the resident set above the cutoff, and the reduced
+    // statistics equal the resident survey's.
+    use coordination_graph::LocalCsr;
+    use tripoll::{survey_stage, Triangle};
+    use ygm::{owner_of, DistRuns, World};
 
     let g = random_graph(13, 80, 700);
     let mut blob = Vec::new();
     encode_graph(&g, &mut blob);
     let view = CsrView::parse(&blob).unwrap();
-    let oriented = Arc::new(OrientedGraph::from_ref(&view));
+    let oriented = OrientedGraph::from_ref(&view);
+    let cutoff = 12;
 
     let nranks = 3;
-    let adjacency: DistAdjacency = DistMap::new(nranks);
-    let found: DistBag<Triangle> = DistBag::new(nranks);
-    {
-        let adjacency = adjacency.clone();
-        let found = found.clone();
-        let oriented = Arc::clone(&oriented);
-        World::run(nranks, move |ctx| {
-            load_oriented(ctx, &oriented, &adjacency);
-            ctx.barrier();
-            survey_stage(ctx, &adjacency, &found);
-            ctx.barrier();
-        });
-    }
-    let mut got = found.drain_into_local();
+    let wedges: DistRuns<u128> = DistRuns::new(nranks, "wedge_checks", None);
+    let per_rank = World::run(nranks, |ctx| {
+        let csr = LocalCsr::from_sorted_edges(
+            (0..oriented.n())
+                .filter(|u| owner_of(u, ctx.nranks()) == ctx.rank())
+                .flat_map(|u| {
+                    let (nbrs, ws) = oriented.out(u);
+                    nbrs.iter().zip(ws).map(move |(&v, &w)| (u, v, w))
+                }),
+        );
+        // A one-item flush threshold ships every wedge check on its own.
+        let partial = survey_stage(ctx, &csr, cutoff, &wedges, 1);
+        (partial.all_reduce(ctx), partial.kept)
+    });
+    let mut got: Vec<Triangle> = per_rank.iter().flat_map(|(_, k)| k.clone()).collect();
     got.sort_unstable_by_key(|t| t.vertices());
 
-    let mut expected = Vec::new();
-    tripoll::enumerate::for_each_triangle(&OrientedGraph::from_graph(&g), |t| expected.push(t));
-    expected.sort_unstable_by_key(|t| t.vertices());
+    let resident = survey(
+        &OrientedGraph::from_graph(&g),
+        &SurveyConfig::with_min_weight(cutoff),
+        None,
+    );
+    let expected: Vec<Triangle> = resident.triangles.iter().map(|s| s.triangle).collect();
     assert_eq!(got, expected);
+    for ((examined, max_min, hist), _) in &per_rank {
+        assert_eq!(*examined, resident.total_examined);
+        assert_eq!(*max_min, resident.max_min_weight);
+        assert_eq!(hist, &resident.min_weight_log_hist);
+    }
 }
 
 #[test]

@@ -59,21 +59,6 @@ where
         self.shards[ctx.rank()].0.lock().extend(items);
     }
 
-    /// Read `rank`'s shard in place through `f`, without cloning. Quiescent
-    /// regimes only (post-barrier or post-run): the caller must guarantee no
-    /// in-flight inserts, exactly as for `gather`.
-    pub fn with_shard<R>(&self, rank: usize, f: impl FnOnce(&Vec<T>) -> R) -> R {
-        f(&self.shards[rank].0.lock())
-    }
-
-    /// Mutate `rank`'s shard in place (e.g. sort it into a binary-searchable
-    /// run without moving it out). Quiescent regimes only, and the caller
-    /// must own the shard or otherwise coordinate — the usual pattern is
-    /// each rank reorganizing its own shard right after a barrier.
-    pub fn with_shard_mut<R>(&self, rank: usize, f: impl FnOnce(&mut Vec<T>) -> R) -> R {
-        f(&mut self.shards[rank].0.lock())
-    }
-
     /// Send `item` to `dest`'s shard.
     pub fn async_insert_to(&self, ctx: &RankCtx, dest: usize, item: T) {
         self.check(ctx);

@@ -19,7 +19,6 @@
 mod array;
 mod bag;
 mod counting_set;
-mod map;
 mod multimap;
 mod set;
 mod topk;
@@ -27,7 +26,6 @@ mod topk;
 pub use array::DistArray;
 pub use bag::DistBag;
 pub use counting_set::{DistCountingSet, FrozenCounts};
-pub use map::DistMap;
 pub use multimap::DistMultimap;
 pub use set::DistSet;
 pub use topk::DistTopK;

@@ -202,6 +202,19 @@ fn budget_of_one_batch_stress() {
     assert_equivalent(&resident, &dist);
 }
 
+#[test]
+fn distributed_stage_timings_cover_every_stage() {
+    // The distributed engine reports barrier-aligned stage laps, not its
+    // whole wall time as the survey: all three must be measured.
+    let ds = month();
+    let (_, dist) = run_both(&ds, 2);
+    let t = dist.timings;
+    assert!(
+        !t.projection.is_zero() && !t.survey.is_zero() && !t.validation.is_zero(),
+        "a stage lap is missing: {t:?}"
+    );
+}
+
 /// Random event logs over small id spaces (heavy collision rate), as
 /// pushshift-style records so the dataset path interns real names.
 fn arb_records(
@@ -284,6 +297,35 @@ proptest! {
         let resident = Pipeline::new(config.clone()).run_dataset(&ds);
         let dist = DistPipeline::new(config, nranks).run_dataset(&ds);
         assert_equivalent(&resident, &dist);
+    }
+
+    /// The closing rank prunes below-cutoff triangles as their wedge checks
+    /// close, yet the examined count, max min-weight and histogram must still
+    /// cover every triangle — including at `u64::MAX`, where nothing is kept.
+    /// Tiny flush thresholds and random budgets put wedge checks through the
+    /// ship and spill paths.
+    #[test]
+    fn distributed_equals_rayon_under_cutoffs(
+        records in arb_records(16, 12, 250),
+        seed in 0u64..u64::MAX,
+        nranks in 1usize..6,
+        batch_bytes in 1usize..64,
+        budget in (0usize..2048).prop_map(|b| (b > 0).then_some(b)),
+    ) {
+        let ds = shuffled(records, seed);
+        for min_triangle_weight in [1, 3, 8, u64::MAX] {
+            let config = PipelineConfig {
+                min_triangle_weight,
+                ..Default::default()
+            };
+            let resident = Pipeline::new(config.clone()).run_dataset(&ds);
+            let mut pipeline = DistPipeline::new(config, nranks).with_batch_bytes(batch_bytes);
+            if let Some(bytes) = budget {
+                pipeline = pipeline.with_shuffle_budget(bytes);
+            }
+            let dist = pipeline.run_dataset(&ds);
+            assert_equivalent(&resident, &dist);
+        }
     }
 
     /// Streamed ingest ≡ materialize-then-shuffle: feeding the pipeline from
