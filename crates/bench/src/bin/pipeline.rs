@@ -20,6 +20,7 @@
 //!   than [`CHECK_FLOOR_SECS`] in the baseline are skipped (pure noise at
 //!   that size).
 
+use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -29,11 +30,12 @@ use coordination_core::hypergraph::{triple_intersection_count, triple_intersecti
 use coordination_core::ids::{AuthorId, Event, PageId};
 use coordination_core::ingest::{self, IngestConfig};
 use coordination_core::pipeline::{Pipeline, PipelineConfig};
-use coordination_core::project::{project, project_hashed};
+use coordination_core::project::{page_pairs_flat, project};
 use coordination_core::records::{read_ndjson_into_dataset, write_ndjson, CommentRecord, Dataset};
 use coordination_core::snapshot::{btm_from_snapshot, write_snapshot};
 use coordination_core::store::Snapshot;
-use coordination_core::{Btm, PageId as CorePageId, Window};
+use coordination_core::{Btm, CiGraph, PageId as CorePageId, Window};
+use rayon::prelude::*;
 
 /// A stage must be this much slower than the baseline to fail `--check`.
 const REGRESSION_FACTOR: f64 = 2.0;
@@ -590,7 +592,7 @@ impl Ablation {
 fn page_pairs_hashset(
     comments: &[(i64, AuthorId)],
     window: &Window,
-    pairs: &mut std::collections::HashSet<(u32, u32)>,
+    pairs: &mut HashSet<(u32, u32)>,
 ) {
     pairs.clear();
     let n = comments.len();
@@ -608,6 +610,57 @@ fn page_pairs_hashset(
     }
 }
 
+/// One worker's accumulated `(edge weights, page counts)` in [`project_hashed`].
+type HashedPartial = (HashMap<(u32, u32), u64>, HashMap<u32, u64>);
+
+/// The seed projection driver, replicated for the driver ablation: a rayon
+/// fold with a [`page_pairs_hashset`] pair set per page and `HashMap`
+/// partials per worker. Each worker's map is drained and sorted into one
+/// canonical edge run, and the runs k-way merge in [`CiGraph::from_runs`] —
+/// the same CSR build [`project`] ends in, so the two drivers differ only in
+/// their kernels and accumulation.
+fn project_hashed(btm: &Btm, window: Window) -> CiGraph {
+    let pages: Vec<_> = btm.pages().collect();
+    let partials: Vec<HashedPartial> = pages
+        .par_iter()
+        .fold(
+            || (HashMap::new(), HashMap::new()),
+            |(mut edges, mut counts): HashedPartial, (_, comments)| {
+                let mut pairs = HashSet::new();
+                page_pairs_hashset(comments, &window, &mut pairs);
+                let mut authors = HashSet::new();
+                for &(x, y) in &pairs {
+                    *edges.entry((x, y)).or_insert(0) += 1;
+                    authors.insert(x);
+                    authors.insert(y);
+                }
+                for a in authors {
+                    *counts.entry(a).or_insert(0) += 1;
+                }
+                (edges, counts)
+            },
+        )
+        .collect();
+    let mut page_counts = vec![0u64; btm.n_authors() as usize];
+    let mut edge_maps = Vec::with_capacity(partials.len());
+    for (edges, counts) in partials {
+        for (a, c) in counts {
+            page_counts[a as usize] += c;
+        }
+        edge_maps.push(edges);
+    }
+    let runs: Vec<Vec<(u32, u32, u64)>> = edge_maps
+        .into_par_iter()
+        .map(|m| {
+            let mut run: Vec<(u32, u32, u64)> =
+                m.into_iter().map(|((x, y), w)| (x, y, w)).collect();
+            run.sort_unstable_by_key(|&(x, y, _)| (x, y));
+            run
+        })
+        .collect();
+    CiGraph::from_runs(btm.n_authors(), runs, page_counts)
+}
+
 /// Flat vs hashed projection on the dense-page workload, best of `reps`:
 /// the per-page kernels head to head, and the full drivers (which share the
 /// CSR merge, so their gap is smaller by construction).
@@ -622,17 +675,20 @@ fn ablation_projection(smoke: bool, reps: usize) -> (Ablation, Ablation, u64) {
     // warm up + correctness guard: both drivers must agree here
     let flat = project(&btm, w);
     let hashed = project_hashed(&btm, w);
-    assert_eq!(flat.n_edges(), hashed.n_edges(), "kernels disagree");
+    assert!(
+        flat.edges().eq(hashed.edges()) && flat.page_counts() == hashed.page_counts(),
+        "projection drivers disagree"
+    );
 
     // kernel microbench: dedup one page's pair multiset, both ways
     let mut flat_kernel = f64::INFINITY;
     let mut hash_kernel = f64::INFINITY;
     let mut scratch: Vec<u64> = Vec::new();
-    let mut set: std::collections::HashSet<(u32, u32)> = std::collections::HashSet::new();
+    let mut set: HashSet<(u32, u32)> = HashSet::new();
     for _ in 0..reps {
         let t = Instant::now();
         for (_, comments) in btm.pages() {
-            coordination_core::project::page_pairs_flat(comments, &w, &mut scratch);
+            page_pairs_flat(comments, &w, &mut scratch);
             std::hint::black_box(scratch.len());
         }
         flat_kernel = flat_kernel.min(t.elapsed().as_secs_f64());

@@ -1,4 +1,4 @@
-//! Shared workload setup for the benches and the figure harness.
+//! Shared workload setup for the bench binaries and the figure harness.
 //!
 //! Scenario generation is deterministic but not free; the helpers here build
 //! each preset once per process and hand out references.
@@ -14,7 +14,7 @@ use redditgen::{Scenario, ScenarioConfig};
 /// every structural relationship to be visible.
 pub const FIGURE_SCALE: f64 = 0.5;
 
-/// Smaller scale used inside criterion loops.
+/// Smaller scale for the pipeline bench scenarios.
 pub const BENCH_SCALE: f64 = 0.15;
 
 /// The January 2020 scenario at [`FIGURE_SCALE`], built once.
@@ -37,7 +37,7 @@ pub fn oct2016() -> &'static (Scenario, Dataset) {
     })
 }
 
-/// Small scenarios for criterion loops, built once.
+/// The January 2020 scenario at [`BENCH_SCALE`], built once.
 pub fn jan2020_small() -> &'static (Scenario, Dataset) {
     static CELL: OnceLock<(Scenario, Dataset)> = OnceLock::new();
     CELL.get_or_init(|| {
@@ -47,7 +47,7 @@ pub fn jan2020_small() -> &'static (Scenario, Dataset) {
     })
 }
 
-/// Small October 2016 scenario for criterion loops.
+/// The October 2016 scenario at [`BENCH_SCALE`], built once.
 pub fn oct2016_small() -> &'static (Scenario, Dataset) {
     static CELL: OnceLock<(Scenario, Dataset)> = OnceLock::new();
     CELL.get_or_init(|| {

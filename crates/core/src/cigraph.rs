@@ -157,7 +157,7 @@ impl CiGraph {
 
     /// Merge another projection's counts into this one (used by shard
     /// collection; *not* a semantically valid way to combine different
-    /// windows — see `project::project_bucketed`).
+    /// windows: a pair that interacts in both would count its page twice).
     pub fn absorb(&mut self, other: CiGraph) {
         assert_eq!(self.n_authors(), other.n_authors());
         let n = self.n_authors();

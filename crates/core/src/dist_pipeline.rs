@@ -158,9 +158,9 @@ impl CachedOwner {
 
 /// The three-step pipeline run as one SPMD program over `nranks` ygm ranks.
 ///
-/// Construction mirrors [`Pipeline`](crate::Pipeline); the
-/// [`ProjectionStrategy`](crate::pipeline::ProjectionStrategy) field of the
-/// config is ignored — this *is* the distributed strategy, end to end.
+/// Construction mirrors [`Pipeline`](crate::Pipeline), and both engines
+/// project each page with the same flat kernel
+/// ([`crate::project::page_pairs_flat`]).
 #[derive(Clone, Debug)]
 pub struct DistPipeline {
     /// Run parameters (shared with the resident pipeline).

@@ -5,28 +5,20 @@
 //! (unordered, distinct) author pair to the page's pair set `S_I`; after the
 //! scan, each pair in `S_I` increments the edge weight `w'` once and each
 //! author incident to `S_I` increments its page count `P'` once. Pages are
-//! independent, so the parallel drivers fan out over pages:
+//! independent, so the parallel driver fans out over pages:
 //!
-//! * [`project`] — the default driver, built on **flat-vector kernels**:
-//!   candidate pairs are pushed into a reusable scratch `Vec` and
+//! * [`project`] — the driver both engines run, built on **flat-vector
+//!   kernels**: candidate pairs are pushed into a reusable scratch `Vec` and
 //!   sort+deduped per page ([`page_pairs_flat`]), pages whose neighborhoods
 //!   exceed [`HEAVY_PAGE_SPLIT_LEN`] are chunked by comment-index range
 //!   across workers (exact — see DESIGN.md on the dedup-after-union
 //!   invariant), and each worker's output is an append-only occurrence
 //!   buffer sorted and run-length-counted **once** at the end, feeding the
 //!   CSR k-way merge directly. No per-page hashing anywhere on the path;
-//! * [`project_hashed`] — the previous `HashSet`-per-page /
-//!   `HashMap`-per-worker driver, kept as the kernel-ablation baseline the
-//!   bench harness compares against;
-//! * [`project_sequential`] — the literal Algorithm 1 loop (reference and
-//!   baseline for the scaling bench);
-//! * [`project_bucketed`] — the paper's time-bucket decomposition of a long
-//!   window, kept exact by unioning each page's pair sets across buckets
-//!   before counting (naively summing per-bucket projections would double
-//!   count pairs that interact in several sub-windows of the same page);
-//! * [`project_distributed`] — the YGM formulation: pages are distributed by
-//!   hash, pair counts are pushed to distributed counting sets, matching the
-//!   communication structure of the paper's cluster implementation.
+//! * [`project_sequential`] — the literal Algorithm 1 loop, the reference
+//!   the equivalence tests compare [`project`] against;
+//! * [`project_subset`] — the same flat driver restricted to an author
+//!   subset, for targeted reprojection.
 
 use std::collections::{HashMap, HashSet};
 
@@ -348,7 +340,7 @@ pub fn project_with_heavy_split(btm: &Btm, window: Window, split_len: usize) -> 
 
 /// Collect the deduplicated author pairs of one page under `window` into
 /// `pairs`. `comments` must be sorted by timestamp (BTM guarantees this).
-/// Hash-set variant backing the reference drivers.
+/// Hash-set variant backing [`project_sequential`].
 fn page_pairs(
     comments: &[(Timestamp, AuthorId)],
     window: &Window,
@@ -391,42 +383,6 @@ fn accumulate_page(
     }
 }
 
-/// One worker's accumulated `(edge weights, page counts)`.
-type Partial = (HashMap<(u32, u32), u64>, HashMap<u32, u64>);
-
-fn finish(n_authors: u32, edges: HashMap<(u32, u32), u64>, counts: HashMap<u32, u64>) -> CiGraph {
-    let mut page_counts = vec![0u64; n_authors as usize];
-    for (a, c) in counts {
-        page_counts[a as usize] = c;
-    }
-    CiGraph::from_parts(n_authors, edges, page_counts)
-}
-
-/// Turn per-worker partials into sorted canonical edge runs and hand them to
-/// [`CiGraph::from_runs`]: each worker's map is drained and sorted
-/// independently (in parallel), and the CSR builder k-way merges the runs —
-/// no global map merge, no global re-sort.
-fn finish_runs(n_authors: u32, partials: Vec<Partial>) -> CiGraph {
-    let mut page_counts = vec![0u64; n_authors as usize];
-    let mut edge_maps = Vec::with_capacity(partials.len());
-    for (edges, counts) in partials {
-        for (a, c) in counts {
-            page_counts[a as usize] += c;
-        }
-        edge_maps.push(edges);
-    }
-    let runs: Vec<Vec<(u32, u32, u64)>> = edge_maps
-        .into_par_iter()
-        .map(|m| {
-            let mut run: Vec<(u32, u32, u64)> =
-                m.into_iter().map(|((x, y), w)| (x, y, w)).collect();
-            run.sort_unstable_by_key(|&(x, y, _)| (x, y));
-            run
-        })
-        .collect();
-    CiGraph::from_runs(n_authors, runs, page_counts)
-}
-
 /// Algorithm 1, sequential reference implementation.
 pub fn project_sequential(btm: &Btm, window: Window) -> CiGraph {
     let mut edges = HashMap::new();
@@ -437,116 +393,11 @@ pub fn project_sequential(btm: &Btm, window: Window) -> CiGraph {
         page_pairs(comments, &window, &mut pairs);
         accumulate_page(&pairs, &mut edges, &mut counts, &mut scratch);
     }
-    finish(btm.n_authors(), edges, counts)
-}
-
-/// The previous default driver: rayon fold with a `HashSet` pair set per page
-/// and `HashMap` partials per worker. Kept verbatim as the kernel-ablation
-/// baseline — the bench harness measures [`project`]'s flat kernels against
-/// it (EXPERIMENTS.md, "kernel ablation").
-pub fn project_hashed(btm: &Btm, window: Window) -> CiGraph {
-    let _stage = obs::span("project");
-    let pages: Vec<_> = btm.pages().collect();
-    let partials: Vec<Partial> = pages
-        .par_iter()
-        .fold(
-            || (HashMap::new(), HashMap::new()),
-            |(mut edges, mut counts): Partial, (_, comments)| {
-                let mut pairs = HashSet::new();
-                let mut scratch = HashSet::new();
-                page_pairs(comments, &window, &mut pairs);
-                accumulate_page(&pairs, &mut edges, &mut counts, &mut scratch);
-                (edges, counts)
-            },
-        )
-        .collect();
-    finish_runs(btm.n_authors(), partials)
-}
-
-/// The paper's time-bucket strategy for long windows: split `window` into
-/// `n_buckets` contiguous sub-windows, scan each page once per bucket, and
-/// union the page's pair sets before counting. Produces exactly the same
-/// CI graph as [`project`] on the full window, while each scan's working pair
-/// set stays bounded by the sub-window's density. Runs on the flat kernels:
-/// per-bucket pair vecs are concatenated and deduped after the union (the
-/// same invariant that makes the heavy-page split exact).
-pub fn project_bucketed(btm: &Btm, window: Window, n_buckets: usize) -> CiGraph {
-    let buckets = window.buckets(n_buckets);
-    let pages: Vec<_> = btm.pages().collect();
-    let stats = btm.page_degree_stats();
-    project_pages_flat(btm.n_authors(), &pages, &stats, move |comments, pairs| {
-        let mut bucket_pairs = Vec::new();
-        pairs.clear();
-        for b in &buckets {
-            page_pairs_flat(comments, b, &mut bucket_pairs);
-            pairs.extend_from_slice(&bucket_pairs);
-        }
-        pairs.sort_unstable();
-        pairs.dedup();
-    })
-}
-
-/// The YGM-style distributed projection: pages are hash-distributed across
-/// `nranks` ranks; each rank scans its pages and pushes `w'`/`P'` increments
-/// to distributed counting sets **through send-side aggregation**
-/// ([`ygm::Aggregator`]), exactly the communication pattern of the paper's
-/// implementation. Results match [`project`] bit for bit.
-pub fn project_distributed(btm: &Btm, window: Window, nranks: usize) -> CiGraph {
-    use ygm::container::DistCountingSet;
-    use ygm::partition::owner_of;
-    use ygm::{Aggregator, World};
-
-    const FLUSH_THRESHOLD: usize = 1024;
-
-    let edge_counts: DistCountingSet<(u32, u32)> = DistCountingSet::new(nranks);
-    let page_counts: DistCountingSet<u32> = DistCountingSet::new(nranks);
-
-    {
-        let ec = edge_counts.clone();
-        let pc = page_counts.clone();
-        let btm_ref = &btm;
-        World::run(nranks, move |ctx| {
-            let mut pairs = HashSet::new();
-            let mut authors = HashSet::new();
-            // batch the fine-grained increments into per-destination buffers;
-            // the apply side runs on the owner and mutates its shard directly
-            let ec_apply = ec.clone();
-            let mut edge_agg =
-                Aggregator::new(ctx, FLUSH_THRESHOLD, move |inner, pair: (u32, u32)| {
-                    ec_apply.local_add(inner, pair, 1);
-                });
-            let pc_apply = pc.clone();
-            let mut page_agg = Aggregator::new(ctx, FLUSH_THRESHOLD, move |inner, author: u32| {
-                pc_apply.local_add(inner, author, 1);
-            });
-            for (pid, comments) in btm_ref.pages() {
-                // owner-computes: the rank owning the page scans it
-                if owner_of(&pid.0, ctx.nranks()) != ctx.rank() {
-                    continue;
-                }
-                page_pairs(comments, &window, &mut pairs);
-                if pairs.is_empty() {
-                    continue;
-                }
-                authors.clear();
-                for &(x, y) in &pairs {
-                    edge_agg.push(ctx, owner_of(&(x, y), ctx.nranks()), (x, y));
-                    authors.insert(x);
-                    authors.insert(y);
-                }
-                for &a in &authors {
-                    page_agg.push(ctx, owner_of(&a, ctx.nranks()), a);
-                }
-            }
-            edge_agg.flush_all(ctx);
-            page_agg.flush_all(ctx);
-            ctx.barrier();
-        });
+    let mut page_counts = vec![0u64; btm.n_authors() as usize];
+    for (a, c) in counts {
+        page_counts[a as usize] = c;
     }
-
-    let edges = edge_counts.drain_into_local();
-    let counts = page_counts.drain_into_local();
-    finish(btm.n_authors(), edges, counts)
+    CiGraph::from_parts(btm.n_authors(), edges, page_counts)
 }
 
 /// Targeted reprojection (paper §2.2): project only the pairs drawn from a
@@ -731,15 +582,6 @@ mod tests {
     }
 
     #[test]
-    fn flat_matches_hashed_baseline() {
-        for seed in 0..5 {
-            let b = random_btm(seed + 500, 40, 30, 600);
-            let w = Window::new(0, 120);
-            assert_ci_eq(&project(&b, w), &project_hashed(&b, w));
-        }
-    }
-
-    #[test]
     fn heavy_split_matches_unsplit() {
         // force the split path with a tiny threshold: every page goes heavy
         for seed in 0..3 {
@@ -750,37 +592,6 @@ mod tests {
                 assert_ci_eq(&unsplit, &project_with_heavy_split(&b, w, split_len));
             }
             assert_ci_eq(&unsplit, &project_sequential(&b, w));
-        }
-    }
-
-    #[test]
-    fn bucketed_matches_direct() {
-        for seed in 0..5 {
-            let b = random_btm(seed + 100, 30, 20, 500);
-            let w = Window::new(0, 600);
-            let direct = project(&b, w);
-            for n_buckets in [1, 2, 5, 10] {
-                assert_ci_eq(&direct, &project_bucketed(&b, w, n_buckets));
-            }
-        }
-    }
-
-    #[test]
-    fn bucketed_with_nonzero_d1() {
-        let b = random_btm(7, 20, 15, 400);
-        let w = Window::new(30, 600);
-        assert_ci_eq(&project(&b, w), &project_bucketed(&b, w, 4));
-    }
-
-    #[test]
-    fn distributed_matches_shared_memory() {
-        for seed in 0..3 {
-            let b = random_btm(seed + 50, 30, 25, 500);
-            let w = Window::new(0, 90);
-            let shared = project(&b, w);
-            for nranks in [1, 3, 5] {
-                assert_ci_eq(&shared, &project_distributed(&b, w, nranks));
-            }
         }
     }
 

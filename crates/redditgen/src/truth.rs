@@ -127,7 +127,7 @@ impl GroundTruth {
     }
 
     /// Whether all three (alias-resolved) authors belong to one coordinated
-    /// (non-`Helpful`) family — the true-positive criterion for a flagged
+    /// (non-`Helpful`) family — the true-positive test for a flagged
     /// triplet.
     pub fn same_coordinated_family(&self, t: [&str; 3]) -> bool {
         let fams = t.map(|n| self.member_to_family.get(self.resolve(n)));

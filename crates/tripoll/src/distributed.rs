@@ -24,10 +24,9 @@
 
 use coordination_graph::{intersect_indices, LocalCsr};
 use ygm::partition::owner_of;
-use ygm::{DistRuns, Packable, PackedAggregator, PackedBatch, RankCtx, World};
+use ygm::{DistRuns, PackedAggregator, PackedBatch, RankCtx};
 
 use crate::enumerate::Triangle;
-use crate::orient::OrientedGraph;
 
 /// `log2`-bucket histograms pad to the full `u64` range so every rank's
 /// partial has the same length for the all-reduce; trailing zeros are trimmed
@@ -188,147 +187,12 @@ pub fn survey_stage(
     partial
 }
 
-/// Result of a distributed survey.
-#[derive(Clone, Debug)]
-pub struct DistSurveyResult {
-    /// Triangles with `min_weight >= cutoff`, sorted by vertex triple.
-    pub triangles: Vec<Triangle>,
-    /// Total triangles in the graph (before the cutoff).
-    pub total_triangles: u64,
-    /// Total active messages the run sent (a proxy for MPI traffic).
-    pub messages_sent: u64,
-}
-
-/// Enumerate all triangles with minimum edge weight `>= cutoff` using
-/// `nranks` ygm ranks: each rank takes the out-lists of the vertices it owns
-/// as its [`LocalCsr`] partition and runs [`survey_stage`].
-pub fn distributed_survey(
-    oriented: &OrientedGraph,
-    cutoff: u64,
-    nranks: usize,
-) -> DistSurveyResult {
-    let wedges: DistRuns<u128> = DistRuns::new(nranks, "wedge_checks", None);
-    let wedges = &wedges;
-    let per_rank: Vec<(Vec<Triangle>, u64, u64)> = World::run(nranks, move |ctx| {
-        let csr = LocalCsr::from_sorted_edges(
-            (0..oriented.n())
-                .filter(|u| owner_of(u, ctx.nranks()) == ctx.rank())
-                .flat_map(|u| {
-                    let (nbrs, ws) = oriented.out(u);
-                    nbrs.iter().zip(ws).map(move |(&v, &w)| (u, v, w))
-                }),
-        );
-        let batch_bytes =
-            ygm::adaptive_batch_bytes(<(u32, u32, u64) as Packable>::WIDTH, ctx.nranks());
-        let partial = survey_stage(ctx, &csr, cutoff, wedges, batch_bytes);
-        let (examined, _, _) = partial.all_reduce(ctx);
-        (partial.kept, examined, ctx.messages_sent())
-    });
-
-    let total_triangles = per_rank.first().map_or(0, |&(_, e, _)| e);
-    let messages_sent = per_rank.iter().map(|&(_, _, m)| m).max().unwrap_or(0);
-    let mut triangles: Vec<Triangle> = per_rank.into_iter().flat_map(|(k, _, _)| k).collect();
-    triangles.sort_unstable_by_key(|t| t.vertices());
-    DistSurveyResult {
-        triangles,
-        total_triangles,
-        messages_sent,
-    }
-}
-
-/// Distributed connected components by min-label propagation over the ygm
-/// runtime — the distributed path for the paper's botnet-component extraction
-/// (Figures 1–2 ran on billion-edge graphs where a single-node union-find is
-/// not an option). Considers only edges with `weight >= min_weight`; returns
-/// components with ≥ 2 vertices, largest first, matching
-/// [`crate::graph::WeightedGraph::components`] exactly.
-pub fn distributed_components(
-    g: &crate::graph::WeightedGraph,
-    min_weight: u64,
-    nranks: usize,
-) -> Vec<Vec<u32>> {
-    use ygm::container::DistArray;
-    use ygm::partition::block_range;
-
-    let n = g.n() as usize;
-    if n == 0 {
-        return Vec::new();
-    }
-    let labels: DistArray<u32> = DistArray::new(nranks, n, 0);
-    {
-        // initialize label[v] = v on each owner
-        let labels = labels.clone();
-        World::run(nranks, move |ctx| {
-            let r = block_range(ctx.rank(), n, ctx.nranks());
-            for v in r {
-                labels.async_set(ctx, v, v as u32);
-            }
-            ctx.barrier();
-        });
-    }
-    // propagate until a full round changes nothing
-    let labels2 = labels.clone();
-    World::run(nranks, move |ctx| {
-        loop {
-            // push phase: offer this round's label to every neighbor
-            let r = block_range(ctx.rank(), n, ctx.nranks());
-            for u in r {
-                let my_label = labels2.global_get(u); // own block: local read
-                let (nbrs, ws) = g.neighbors(u as u32);
-                for (&v, &w) in nbrs.iter().zip(ws) {
-                    if w < min_weight {
-                        continue;
-                    }
-                    labels2.async_visit(ctx, v as usize, move |_, l| {
-                        if my_label < *l {
-                            *l = my_label;
-                        }
-                    });
-                }
-            }
-            ctx.barrier();
-            // convergence check: did any label actually change this round?
-            let mut changed = 0u64;
-            let r = block_range(ctx.rank(), n, ctx.nranks());
-            for u in r {
-                let l = labels2.global_get(u) as usize;
-                // a label is stable when it equals the min over the closed
-                // neighborhood (within the thresholded graph)
-                let (nbrs, ws) = g.neighbors(u as u32);
-                let min_nbr = nbrs
-                    .iter()
-                    .zip(ws)
-                    .filter(|&(_, &w)| w >= min_weight)
-                    .map(|(&v, _)| labels2.global_get(v as usize))
-                    .min()
-                    .unwrap_or(u32::MAX);
-                if min_nbr < l as u32 {
-                    changed += 1;
-                }
-            }
-            if ctx.all_reduce_sum(changed) == 0 {
-                break;
-            }
-        }
-    });
-    // group by final label
-    let final_labels = labels.gather();
-    let mut groups: std::collections::HashMap<u32, Vec<u32>> = std::collections::HashMap::new();
-    for (v, &l) in final_labels.iter().enumerate() {
-        groups.entry(l).or_default().push(v as u32);
-    }
-    let mut comps: Vec<Vec<u32>> = groups.into_values().filter(|c| c.len() >= 2).collect();
-    for c in &mut comps {
-        c.sort_unstable();
-    }
-    comps.sort_by(|a, b| b.len().cmp(&a.len()).then_with(|| a.cmp(b)));
-    comps
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::graph::WeightedGraph;
+    use crate::orient::OrientedGraph;
+    use ygm::World;
 
     fn random_graph(n: u32, p: f64, seed: u64) -> WeightedGraph {
         use rand::{Rng, SeedableRng};
@@ -344,6 +208,29 @@ mod tests {
         WeightedGraph::from_edges(n, edges)
     }
 
+    /// [`survey_stage`] on `nranks` ranks, each over the out-lists of the
+    /// vertices it owns: the kept triangles sorted by vertex triple, and the
+    /// reduced examined count.
+    fn survey_ranks(oriented: &OrientedGraph, cutoff: u64, nranks: usize) -> (Vec<Triangle>, u64) {
+        let wedges: DistRuns<u128> = DistRuns::new(nranks, "wedge_checks", None);
+        let per_rank = World::run(nranks, |ctx| {
+            let csr = LocalCsr::from_sorted_edges(
+                (0..oriented.n())
+                    .filter(|u| owner_of(u, ctx.nranks()) == ctx.rank())
+                    .flat_map(|u| {
+                        let (nbrs, ws) = oriented.out(u);
+                        nbrs.iter().zip(ws).map(move |(&v, &w)| (u, v, w))
+                    }),
+            );
+            let partial = survey_stage(ctx, &csr, cutoff, &wedges, 64 << 10);
+            (partial.all_reduce(ctx).0, partial.kept)
+        });
+        let examined = per_rank[0].0;
+        let mut kept: Vec<Triangle> = per_rank.into_iter().flat_map(|(_, k)| k).collect();
+        kept.sort_unstable_by_key(|t| t.vertices());
+        (kept, examined)
+    }
+
     #[test]
     fn distributed_matches_shared_memory_enumeration() {
         for seed in 0..5 {
@@ -353,9 +240,9 @@ mod tests {
             crate::enumerate::for_each_triangle(&o, |t| expected.push(t));
             expected.sort_unstable_by_key(|t| t.vertices());
 
-            let res = distributed_survey(&o, 1, 4);
-            assert_eq!(res.triangles, expected, "seed {seed}");
-            assert_eq!(res.total_triangles, expected.len() as u64);
+            let (kept, examined) = survey_ranks(&o, 1, 4);
+            assert_eq!(kept, expected, "seed {seed}");
+            assert_eq!(examined, expected.len() as u64);
         }
     }
 
@@ -373,60 +260,29 @@ mod tests {
             ],
         );
         let o = OrientedGraph::from_graph(&g);
-        let res = distributed_survey(&o, 5, 3);
-        assert_eq!(res.total_triangles, 2);
-        assert_eq!(res.triangles.len(), 1);
-        assert_eq!(res.triangles[0].vertices(), [0, 1, 2]);
+        let (kept, examined) = survey_ranks(&o, 5, 3);
+        assert_eq!(examined, 2);
+        assert_eq!(kept.len(), 1);
+        assert_eq!(kept[0].vertices(), [0, 1, 2]);
     }
 
     #[test]
     fn works_with_one_rank_and_empty_graph() {
         let g = WeightedGraph::from_edges(4, std::iter::empty());
         let o = OrientedGraph::from_graph(&g);
-        let res = distributed_survey(&o, 1, 1);
-        assert!(res.triangles.is_empty());
-        assert_eq!(res.total_triangles, 0);
-    }
-
-    #[test]
-    fn distributed_components_match_union_find() {
-        for seed in 0..5 {
-            let g = random_graph(50, 0.04, seed + 200);
-            for min_weight in [1u64, 5, 10] {
-                let expect = g.components(min_weight);
-                let got = distributed_components(&g, min_weight, 4);
-                assert_eq!(got, expect, "seed {seed} min_weight {min_weight}");
-            }
-        }
-    }
-
-    #[test]
-    fn distributed_components_on_a_long_path() {
-        // a path stresses propagation rounds (diameter = n-1)
-        let n = 60u32;
-        let g = WeightedGraph::from_edges(n, (0..n - 1).map(|i| (i, i + 1, 1u64)));
-        let got = distributed_components(&g, 1, 3);
-        assert_eq!(got.len(), 1);
-        assert_eq!(got[0], (0..n).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn distributed_components_empty_and_edgeless() {
-        let empty = WeightedGraph::from_edges(0, std::iter::empty());
-        assert!(distributed_components(&empty, 1, 2).is_empty());
-        let edgeless = WeightedGraph::from_edges(5, std::iter::empty());
-        assert!(distributed_components(&edgeless, 1, 2).is_empty());
+        let (kept, examined) = survey_ranks(&o, 1, 1);
+        assert!(kept.is_empty());
+        assert_eq!(examined, 0);
     }
 
     #[test]
     fn rank_count_does_not_change_results() {
         let g = random_graph(30, 0.3, 99);
         let o = OrientedGraph::from_graph(&g);
-        let r1 = distributed_survey(&o, 3, 1);
-        let r4 = distributed_survey(&o, 3, 4);
-        let r7 = distributed_survey(&o, 3, 7);
-        assert_eq!(r1.triangles, r4.triangles);
-        assert_eq!(r4.triangles, r7.triangles);
-        assert_eq!(r1.total_triangles, r7.total_triangles);
+        let r1 = survey_ranks(&o, 3, 1);
+        let r4 = survey_ranks(&o, 3, 4);
+        let r7 = survey_ranks(&o, 3, 7);
+        assert_eq!(r1, r4);
+        assert_eq!(r4, r7);
     }
 }

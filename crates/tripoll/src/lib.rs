@@ -15,9 +15,11 @@
 //! 4. apply survey predicates (minimum edge weight, normalized coordination
 //!    score) and collect summaries ([`survey`]).
 //!
-//! Both a [rayon](https://docs.rs/rayon) shared-memory driver and a
-//! message-based [`distributed`] driver over the [`ygm`] runtime are provided;
-//! the latter preserves the push-style communication structure of real TriPoll.
+//! The shared-memory driver runs on [rayon](https://docs.rs/rayon). The
+//! [`distributed`] module holds the rank-local form: [`survey_stage`], one
+//! SPMD stage over the [`ygm`] runtime that preserves the push-style
+//! communication structure of real TriPoll and that the distributed pipeline
+//! runs on every rank.
 //!
 //! ## Example
 //!

@@ -1,14 +1,17 @@
 //! Surveying directly over the snapshot layer's block-compressed CSR
 //! ([`coordination_store::CsrView`]) must agree with surveying the resident
 //! [`WeightedGraph`] — the view implements [`GraphRef`], so
-//! [`OrientedGraph::from_ref`] consumes either without a decode step.
+//! [`OrientedGraph::from_ref`] consumes either without a decode step — on the
+//! resident survey and on the rank-local [`survey_stage`] alike.
 
+use coordination_graph::LocalCsr;
 use coordination_store::csr::encode_graph;
 use coordination_store::CsrView;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use tripoll::survey::survey;
-use tripoll::{GraphRef, OrientedGraph, SurveyConfig, WeightedGraph};
+use tripoll::{survey_stage, GraphRef, OrientedGraph, SurveyConfig, Triangle, WeightedGraph};
+use ygm::{owner_of, DistRuns, World};
 
 fn random_graph(seed: u64, n: u32, m: usize) -> WeightedGraph {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
@@ -60,11 +63,44 @@ fn survey_over_compressed_csr_matches_resident() {
     }
 }
 
+/// [`survey_stage`] on `nranks` ranks, each over the oriented out-lists of
+/// the vertices it owns, shipping wedge checks at `batch_bytes`: the kept
+/// triangles sorted by vertex triple, and the reduced `(examined,
+/// max_min_weight, log_hist)`, which every rank must agree on.
+fn survey_ranks(
+    oriented: &OrientedGraph,
+    cutoff: u64,
+    nranks: usize,
+    batch_bytes: usize,
+) -> (Vec<Triangle>, (u64, u64, Vec<u64>)) {
+    let wedges: DistRuns<u128> = DistRuns::new(nranks, "wedge_checks", None);
+    let per_rank = World::run(nranks, |ctx| {
+        let csr = LocalCsr::from_sorted_edges(
+            (0..oriented.n())
+                .filter(|u| owner_of(u, ctx.nranks()) == ctx.rank())
+                .flat_map(|u| {
+                    let (nbrs, ws) = oriented.out(u);
+                    nbrs.iter().zip(ws).map(move |(&v, &w)| (u, v, w))
+                }),
+        );
+        let partial = survey_stage(ctx, &csr, cutoff, &wedges, batch_bytes);
+        (partial.all_reduce(ctx), partial.kept)
+    });
+    let stats = per_rank[0].0.clone();
+    assert!(
+        per_rank.iter().all(|(s, _)| *s == stats),
+        "ranks disagree on the reduced survey statistics"
+    );
+    let mut kept: Vec<Triangle> = per_rank.into_iter().flat_map(|(_, k)| k).collect();
+    kept.sort_unstable_by_key(|t| t.vertices());
+    (kept, stats)
+}
+
 #[test]
-fn distributed_survey_over_compressed_csr_matches_resident() {
-    // The distributed driver must accept an orientation built straight off
-    // the mmap-format CSR view, at any rank count, and agree with the
-    // resident shared-memory enumeration.
+fn survey_stage_over_compressed_csr_matches_resident() {
+    // The survey stage must accept an orientation built straight off the
+    // mmap-format CSR view, at any rank count, and agree with the resident
+    // shared-memory enumeration.
     for (seed, n, m) in [(11u64, 40u32, 220usize), (12, 120, 1200)] {
         let g = random_graph(seed, n, m);
         let mut blob = Vec::new();
@@ -79,14 +115,14 @@ fn distributed_survey_over_compressed_csr_matches_resident() {
         let mapped = OrientedGraph::from_ref(&view);
         for nranks in [1usize, 2, 4] {
             for cutoff in [1u64, 10] {
-                let res = tripoll::distributed::distributed_survey(&mapped, cutoff, nranks);
+                let (kept, (examined, _, _)) = survey_ranks(&mapped, cutoff, nranks, 64 << 10);
                 let want: Vec<_> = expected
                     .iter()
                     .copied()
                     .filter(|t| t.min_weight() >= cutoff)
                     .collect();
-                assert_eq!(res.triangles, want, "seed {seed} ranks {nranks}");
-                assert_eq!(res.total_triangles, expected.len() as u64);
+                assert_eq!(kept, want, "seed {seed} ranks {nranks}");
+                assert_eq!(examined, expected.len() as u64);
             }
         }
     }
@@ -94,38 +130,18 @@ fn distributed_survey_over_compressed_csr_matches_resident() {
 
 #[test]
 fn composable_survey_stage_runs_over_compressed_csr() {
-    // The stage API inside one SPMD region, over an orientation built from
-    // the compressed view: each rank surveys its own LocalCsr partition, the
-    // kept triangles tile the resident set above the cutoff, and the reduced
-    // statistics equal the resident survey's.
-    use coordination_graph::LocalCsr;
-    use tripoll::{survey_stage, Triangle};
-    use ygm::{owner_of, DistRuns, World};
-
+    // Each rank surveys its own LocalCsr partition of an orientation built
+    // from the compressed view: the kept triangles tile the resident set
+    // above the cutoff, and the reduced statistics equal the resident
+    // survey's. A one-byte flush threshold ships every wedge check on its
+    // own.
     let g = random_graph(13, 80, 700);
     let mut blob = Vec::new();
     encode_graph(&g, &mut blob);
     let view = CsrView::parse(&blob).unwrap();
-    let oriented = OrientedGraph::from_ref(&view);
     let cutoff = 12;
-
-    let nranks = 3;
-    let wedges: DistRuns<u128> = DistRuns::new(nranks, "wedge_checks", None);
-    let per_rank = World::run(nranks, |ctx| {
-        let csr = LocalCsr::from_sorted_edges(
-            (0..oriented.n())
-                .filter(|u| owner_of(u, ctx.nranks()) == ctx.rank())
-                .flat_map(|u| {
-                    let (nbrs, ws) = oriented.out(u);
-                    nbrs.iter().zip(ws).map(move |(&v, &w)| (u, v, w))
-                }),
-        );
-        // A one-item flush threshold ships every wedge check on its own.
-        let partial = survey_stage(ctx, &csr, cutoff, &wedges, 1);
-        (partial.all_reduce(ctx), partial.kept)
-    });
-    let mut got: Vec<Triangle> = per_rank.iter().flat_map(|(_, k)| k.clone()).collect();
-    got.sort_unstable_by_key(|t| t.vertices());
+    let (got, (examined, max_min, hist)) =
+        survey_ranks(&OrientedGraph::from_ref(&view), cutoff, 3, 1);
 
     let resident = survey(
         &OrientedGraph::from_graph(&g),
@@ -134,11 +150,9 @@ fn composable_survey_stage_runs_over_compressed_csr() {
     );
     let expected: Vec<Triangle> = resident.triangles.iter().map(|s| s.triangle).collect();
     assert_eq!(got, expected);
-    for ((examined, max_min, hist), _) in &per_rank {
-        assert_eq!(*examined, resident.total_examined);
-        assert_eq!(*max_min, resident.max_min_weight);
-        assert_eq!(hist, &resident.min_weight_log_hist);
-    }
+    assert_eq!(examined, resident.total_examined);
+    assert_eq!(max_min, resident.max_min_weight);
+    assert_eq!(hist, resident.min_weight_log_hist);
 }
 
 #[test]

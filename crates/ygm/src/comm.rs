@@ -233,8 +233,8 @@ impl RankCtx {
     /// Returns once (a) every rank has entered the barrier and (b) every
     /// message sent anywhere in the world has been processed — including
     /// messages generated by handlers while the barrier was waiting. On return,
-    /// all distributed-container operations issued before the barrier are
-    /// visible on their owner ranks.
+    /// every message and batch sent before the barrier has been applied on
+    /// its owner rank.
     pub fn barrier(&self) {
         let shared = &self.shared;
         let local_sense = !self.sense.get();
@@ -260,18 +260,6 @@ impl RankCtx {
                     std::thread::yield_now();
                 }
             }
-        }
-    }
-
-    /// Send the same closure to every rank (including self) — the broadcast
-    /// form of [`RankCtx::async_exec`].
-    pub fn async_exec_all<F>(&self, f: F)
-    where
-        F: Fn(&RankCtx) + Clone + Send + 'static,
-    {
-        for dest in 0..self.shared.nranks {
-            let f = f.clone();
-            self.async_exec(dest, move |ctx| f(ctx));
         }
     }
 
@@ -390,22 +378,6 @@ mod tests {
             ctx.barrier();
         });
         assert_eq!(hits.load(Ordering::SeqCst), 1 + 2 + 3 + 4);
-    }
-
-    #[test]
-    fn async_exec_all_reaches_every_rank() {
-        let hits = Arc::new(AtomicU64::new(0));
-        let h = Arc::clone(&hits);
-        World::run(5, move |ctx| {
-            if ctx.rank() == 2 {
-                let h = Arc::clone(&h);
-                ctx.async_exec_all(move |inner| {
-                    h.fetch_add(1 << inner.rank(), Ordering::SeqCst);
-                });
-            }
-            ctx.barrier();
-        });
-        assert_eq!(hits.load(Ordering::SeqCst), 0b11111);
     }
 
     #[test]

@@ -1,12 +1,11 @@
-//! Packed-batch exchange: the throughput path for fixed-width shuffles.
+//! Packed-batch exchange: the throughput path for every shuffle.
 //!
-//! [`crate::Aggregator`] batches arbitrary `Clone` items into per-destination
-//! `Vec<T>`s and replays them one closure call per item on the owner. That is
-//! the right shape for small irregular traffic, but the pipeline's big
-//! shuffles (events, projection pairs, oriented edges) move millions of
-//! *fixed-width* items, and there three costs dominate: the per-item apply
-//! call, the per-batch buffer allocation, and a flush threshold that ignores
-//! how wide the items are.
+//! The pipeline's shuffles (events, projection pairs, oriented edges, wedge
+//! checks) move millions of *fixed-width* items. Sent one active message per
+//! item — or batched as `Vec<T>`s replayed one closure call per item on the
+//! owner — three costs dominate: the per-item apply call, the per-batch
+//! buffer allocation, and a flush threshold that ignores how wide the items
+//! are.
 //!
 //! [`PackedAggregator`] removes all three:
 //!
@@ -26,8 +25,7 @@
 //!
 //! The receiver side is batch-granular too: the apply function gets one
 //! [`PackedBatch`] per shipped buffer and can lock its shard once per batch
-//! (e.g. [`crate::container::DistBag::local_extend`]) instead of once per
-//! item.
+//! (e.g. [`crate::DistRuns::local_absorb`]) instead of once per item.
 //!
 //! Shuffle traffic is observable through [`obs`] counters: `ygm.bytes_sent`,
 //! `ygm.batches_sent`, `ygm.items_sent` world totals, the same three under
@@ -239,7 +237,7 @@ const BATCH_HIST_BUCKETS: usize = 17;
 ///
 /// `A` runs on the *destination* rank once per shipped buffer; it must be
 /// `Clone` because each shipped batch carries its own copy. The usual apply
-/// locks a container shard once and bulk-appends the decoded items.
+/// locks the rank's run-stack shard once and bulk-appends the decoded items.
 pub struct PackedAggregator<T, A>
 where
     T: Packable,
@@ -442,8 +440,13 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::container::DistBag;
-    use crate::World;
+    use crate::{owner_of, World};
+
+    /// One delivery sink per rank, appended to by batch handlers on the
+    /// destination rank.
+    fn sinks<T>(nranks: usize) -> Arc<Vec<Mutex<Vec<T>>>> {
+        Arc::new((0..nranks).map(|_| Mutex::new(Vec::new())).collect())
+    }
 
     #[test]
     fn scalar_and_tuple_roundtrip() {
@@ -476,14 +479,14 @@ mod tests {
     #[test]
     fn packed_shuffle_delivers_every_item() {
         const N: u64 = 20_000;
-        let bag: DistBag<u64> = DistBag::new(4);
+        let sink = sinks::<u64>(4);
         {
-            let bag = bag.clone();
+            let sink = Arc::clone(&sink);
             World::run(4, move |ctx| {
-                let b = bag.clone();
+                let s = Arc::clone(&sink);
                 let mut agg =
                     PackedAggregator::new(ctx, "test", move |inner, batch: PackedBatch<u64>| {
-                        b.local_extend(inner, batch.iter());
+                        s[inner.rank()].lock().extend(batch.iter());
                     });
                 for i in 0..N {
                     agg.push_keyed(ctx, &i, i * 3 + ctx.rank() as u64);
@@ -492,7 +495,7 @@ mod tests {
                 ctx.barrier();
             });
         }
-        let mut all = bag.drain_into_local();
+        let mut all: Vec<u64> = sink.iter().flat_map(|s| s.lock().clone()).collect();
         assert_eq!(all.len(), N as usize * 4);
         all.sort_unstable();
         let mut expect: Vec<u64> = (0..4u64)
@@ -503,41 +506,37 @@ mod tests {
     }
 
     #[test]
-    fn packed_routing_matches_generic_aggregator() {
-        let packed: DistBag<(u32, u32)> = DistBag::new(3);
-        let generic: DistBag<(u32, u32)> = DistBag::new(3);
+    fn keyed_items_land_on_the_owner_of_their_key() {
+        const PER_RANK: usize = 5_000;
+        let sink = sinks::<(u32, u32)>(3);
         {
-            let packed = packed.clone();
-            let generic = generic.clone();
+            let sink = Arc::clone(&sink);
             World::run(3, move |ctx| {
-                let p = packed.clone();
-                let mut pagg = PackedAggregator::new(
+                let s = Arc::clone(&sink);
+                let mut agg = PackedAggregator::new(
                     ctx,
                     "test",
                     move |inner, batch: PackedBatch<(u32, u32)>| {
-                        p.local_extend(inner, batch.iter());
+                        s[inner.rank()].lock().extend(batch.iter());
                     },
                 );
-                let g = generic.clone();
-                let mut gagg = crate::Aggregator::new(ctx, 64, move |inner: &RankCtx, item| {
-                    g.local_insert(inner, item);
-                });
-                for i in 0..5_000u32 {
+                for i in 0..PER_RANK as u32 {
                     let key = i % 101;
-                    pagg.push_keyed(ctx, &key, (key, i));
-                    gagg.push_keyed(ctx, &key, (key, i));
+                    agg.push_keyed(ctx, &key, (key, i));
                 }
-                pagg.flush_all(ctx);
-                gagg.flush_all(ctx);
+                agg.flush_all(ctx);
                 ctx.barrier();
-                // same hash, same owner: the per-rank shards must agree
-                let mut mine_p = packed.local_take(ctx);
-                let mut mine_g = generic.local_take(ctx);
-                mine_p.sort_unstable();
-                mine_g.sort_unstable();
-                assert_eq!(mine_p, mine_g);
             });
         }
+        let mut delivered = 0;
+        for (rank, shard) in sink.iter().enumerate() {
+            let shard = shard.lock();
+            for &(key, _) in shard.iter() {
+                assert_eq!(owner_of(&key, 3), rank, "key {key}");
+            }
+            delivered += shard.len();
+        }
+        assert_eq!(delivered, 3 * PER_RANK);
     }
 
     #[test]

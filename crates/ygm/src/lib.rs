@@ -1,4 +1,4 @@
-//! # ygm — a YGM-style SPMD runtime with distributed containers
+//! # ygm — a YGM-style SPMD runtime with a packed shuffle
 //!
 //! This crate is a single-node stand-in for [YGM](https://github.com/LLNL/ygm),
 //! the MPI-based asynchronous communication library the paper's pipeline was
@@ -8,8 +8,11 @@
 //!   ([`World::run`]);
 //! * *asynchronous active messages*: a rank sends a closure to another rank,
 //!   which executes it on its local state ([`RankCtx::async_exec`]);
-//! * *owner-computes* distributed containers partitioned across ranks by key
-//!   hash ([`container`]);
+//! * *owner-computes* shuffles: items are routed to the rank owning their key
+//!   hash ([`owner_of`]), packed into per-destination byte buffers
+//!   ([`PackedAggregator`], YGM's send-side aggregation) and absorbed on the
+//!   owner into sorted run stacks that spill past a memory budget
+//!   ([`DistRuns`]);
 //! * *barriers with termination detection*: [`RankCtx::barrier`] returns only
 //!   once every rank has arrived **and** every message sent anywhere — including
 //!   messages generated while processing other messages — has been processed.
@@ -22,62 +25,58 @@
 //!
 //! ## Barrier semantics and quiescent reads
 //!
-//! There are exactly three quiescence regimes, and every container method
-//! documents which one it needs:
+//! There are exactly three quiescence regimes:
 //!
-//! 1. **Inside the SPMD region, between barriers** — only `async_*` mutators
-//!    and `local_*` accessors are safe. An `async_*` effect is visible on its
-//!    owner only after the next [`RankCtx::barrier`] (which also drains
-//!    message *chains*: handlers that send further messages are run to
-//!    completion before any rank is released).
+//! 1. **Inside the SPMD region, between barriers** — only sends and the
+//!    calling rank's own shard are safe to touch. A shipped batch is applied
+//!    on its owner no later than the next [`RankCtx::barrier`] (which also
+//!    drains message *chains*: handlers that send further messages are run
+//!    to completion before any rank is released).
 //! 2. **Inside the SPMD region, immediately after a barrier** — the world is
-//!    quiescent until the next `async_*` send, so `global_*` readers
-//!    (`global_count`, `global_get`, `gather`, …) may peek at remote shards
-//!    through shared memory. Collectives (`all_gather`, `all_reduce*`,
-//!    `global_len`, …) must be issued by **every** rank in the same order.
+//!    quiescent until the next send, so each rank may take its finished
+//!    shard ([`DistRuns::local_take`]). Collectives (`all_gather`,
+//!    `all_reduce*`, …) must be issued by **every** rank in the same order.
 //! 3. **After [`World::run`] returns** — all ranks have joined and an
-//!    implicit final barrier has drained every in-flight message, so the
-//!    containers are permanently quiescent. `global_*` readers are safe from
-//!    the main thread, but each call still takes the owner shard's lock (and
-//!    on a real cluster would be a communication round). For bulk post-run
-//!    reporting, snapshot once instead — e.g.
-//!    [`container::DistCountingSet::freeze`] locks each shard exactly once
-//!    and returns a lock-free read-only [`container::FrozenCounts`].
+//!    implicit final barrier has drained every in-flight message.
 //!
 //! Collective calls after `World::run` has returned are a bug: there are no
-//! rank threads left to meet the barrier, so they would deadlock. The
-//! post-run accessors exist precisely so that reporting code never needs one.
+//! rank threads left to meet the barrier, so they would deadlock.
 //!
 //! ## Example
 //!
 //! ```
-//! use ygm::comm::World;
-//! use ygm::container::DistCountingSet;
+//! use ygm::{owner_of, DistRuns, PackedAggregator, PackedBatch, World};
 //!
-//! let words = DistCountingSet::<String>::new(4);
-//! let counts = {
-//!     let words = words.clone();
-//!     World::run(4, move |ctx| {
-//!         // every rank contributes the same word; counts accumulate at the owner
-//!         words.async_add(ctx, "hello".to_string());
-//!         ctx.barrier();
-//!         words.global_count(&"hello".to_string())
-//!     })
-//! };
-//! assert!(counts.iter().all(|&c| c == 4));
+//! // Every rank ships the keys 0..1000 to their owners; each owner reads
+//! // what it received back as one sorted run.
+//! let runs: DistRuns<u64> = DistRuns::new(4, "example", None);
+//! let per_rank = World::run(4, |ctx| {
+//!     let sink = runs.clone();
+//!     let mut agg = PackedAggregator::new(ctx, "example", move |inner, batch: PackedBatch<u64>| {
+//!         sink.local_absorb(inner, batch.iter());
+//!     });
+//!     for k in 0..1000u64 {
+//!         agg.push_keyed(ctx, &k, k);
+//!     }
+//!     agg.flush_all(ctx);
+//!     ctx.barrier();
+//!     runs.local_take(ctx).into_sorted_vec()
+//! });
+//! assert_eq!(per_rank.iter().map(Vec::len).sum::<usize>(), 4 * 1000);
+//! for (rank, keys) in per_rank.iter().enumerate() {
+//!     assert!(keys.windows(2).all(|w| w[0] <= w[1]));
+//!     assert!(keys.iter().all(|k| owner_of(k, 4) == rank));
+//! }
 //! ```
 
-pub mod batch;
 pub mod comm;
-pub mod container;
 pub mod exchange;
 pub mod partition;
 pub mod reduce;
 pub mod runs;
 pub mod stats;
 
-pub use batch::Aggregator;
 pub use comm::{RankCtx, World};
 pub use exchange::{adaptive_batch_bytes, BufferPool, Packable, PackedAggregator, PackedBatch};
-pub use partition::{block_owner, block_range, owner_of};
+pub use partition::{block_range, owner_of};
 pub use runs::{radix_sort_run, sort_run, DistRuns, MergeCursor, RunKey, RunSet, RunStack};

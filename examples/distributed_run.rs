@@ -1,17 +1,16 @@
-//! Run the projection and triangle survey through the YGM-style distributed
-//! substrate — the exact communication structure the paper ran on LLNL
-//! clusters, here over in-process ranks. Verifies the distributed drivers
-//! agree with the shared-memory ones and reports message traffic.
+//! Run the whole pipeline rank-sharded through the YGM-style substrate — the
+//! communication structure the paper ran on LLNL clusters, here over
+//! in-process ranks. Verifies the distributed engine reproduces the resident
+//! one exactly and reports the shuffle traffic per label.
 //!
 //! ```text
 //! cargo run --release --example distributed_run [n_ranks]
 //! ```
 
-use coordination::core::pipeline::{Pipeline, PipelineConfig, ProjectionStrategy};
+use coordination::core::dist_pipeline::DistPipeline;
+use coordination::core::pipeline::{Pipeline, PipelineConfig};
 use coordination::core::Window;
 use coordination::redditgen::ScenarioConfig;
-use coordination::tripoll::distributed::distributed_survey;
-use coordination::tripoll::OrientedGraph;
 
 fn main() {
     let nranks: usize = std::env::args()
@@ -22,51 +21,42 @@ fn main() {
     let dataset = scenario.dataset();
     println!("{} comments, {nranks} ranks\n", scenario.len());
 
-    // step 1+2+3 through the rayon driver (reference)
-    let shared = Pipeline::new(PipelineConfig {
+    let config = PipelineConfig {
         window: Window::zero_to_60s(),
+        edge_threshold: 2,
         min_triangle_weight: 10,
         ..Default::default()
-    })
-    .run_dataset(&dataset);
+    };
+    // steps 1+2+3 on the resident engine (reference)
+    let resident = Pipeline::new(config.clone()).run_dataset(&dataset);
 
-    // the same pipeline with the distributed projection driver
-    let distributed = Pipeline::new(PipelineConfig {
-        window: Window::zero_to_60s(),
-        min_triangle_weight: 10,
-        strategy: ProjectionStrategy::Distributed(nranks),
-        ..Default::default()
-    })
-    .run_dataset(&dataset);
+    // the same three steps rank-sharded, with the shuffle counters on
+    obs::Obs::enable();
+    let distributed = DistPipeline::new(config, nranks).run_dataset(&dataset);
+    obs::Obs::disable();
 
-    println!("projection      edges        triplets");
-    println!(
-        "rayon        {:>8}        {:>5}",
-        shared.stats.ci_edges,
-        shared.triplets.len()
+    println!("engine           ci edges   examined   triplets");
+    for (name, out) in [("resident", &resident), ("distributed", &distributed)] {
+        println!(
+            "{name:<12} {:>12} {:>10} {:>10}",
+            out.stats.ci_edges,
+            out.stats.triangles_examined,
+            out.triplets.len()
+        );
+    }
+    assert!(
+        resident.ci.edges().eq(distributed.ci.edges()),
+        "CI graphs differ"
     );
-    println!(
-        "ygm({nranks} ranks) {:>8}        {:>5}",
-        distributed.stats.ci_edges,
-        distributed.triplets.len()
-    );
-    assert_eq!(shared.stats.ci_edges, distributed.stats.ci_edges);
-    assert_eq!(shared.triplets.len(), distributed.triplets.len());
+    assert_eq!(resident.ci.page_counts(), distributed.ci.page_counts());
+    assert_eq!(resident.survey.triangles, distributed.survey.triangles);
+    assert_eq!(resident.triplets, distributed.triplets);
+    println!("distributed output == resident output\n");
 
-    // distributed triangle survey with message accounting
-    let wg = shared.ci.threshold(2).to_weighted_graph();
-    let oriented = OrientedGraph::from_graph(&wg);
-    let res = distributed_survey(&oriented, 10, nranks);
-    println!(
-        "\ndistributed survey: {} triangles total, {} kept at cutoff 10, {} active messages",
-        res.total_triangles,
-        res.triangles.len(),
-        res.messages_sent
-    );
-    let shared_count = coordination::tripoll::enumerate::count_triangles(&oriented);
-    assert_eq!(
-        res.total_triangles, shared_count,
-        "distributed == shared-memory"
-    );
-    println!("matches shared-memory count: {shared_count}");
+    println!("shuffle traffic (ygm.* counters):");
+    for (name, value) in obs::snapshot().counters {
+        if name.starts_with("ygm.") {
+            println!("  {name:<44} {value:>12}");
+        }
+    }
 }

@@ -148,6 +148,60 @@ impl Flags {
     fn has(&self, key: &str) -> bool {
         self.0.contains_key(key)
     }
+
+    /// Flags given that neither `allowed` nor [`GLOBAL_FLAGS`] names, sorted.
+    fn unknown(&self, allowed: &str) -> Vec<&str> {
+        let known = |k: &str| {
+            allowed
+                .split(' ')
+                .chain(GLOBAL_FLAGS.split(' '))
+                .any(|a| a == k)
+        };
+        let mut bad: Vec<&str> = self
+            .0
+            .keys()
+            .map(String::as_str)
+            .filter(|k| !known(k))
+            .collect();
+        bad.sort_unstable();
+        bad
+    }
+}
+
+/// Flags every subcommand accepts (space-separated, without the `--`).
+const GLOBAL_FLAGS: &str = "threads report progress skip-bad-lines ranks shuffle-budget";
+
+type Command = fn(&Flags) -> Result<(), String>;
+
+/// A subcommand's entry point and the flags it reads beyond
+/// [`GLOBAL_FLAGS`]; `None` for an unknown command. A flag outside both
+/// lists is a usage error, so a typo never runs silently at a default.
+fn command(cmd: &str) -> Option<(Command, &'static str)> {
+    Some(match cmd {
+        "generate" => (cmd_generate, "preset scale out"),
+        "stats" => (cmd_stats, "input from-snapshot"),
+        "project" => (cmd_project, "input from-snapshot d1 d2 out"),
+        "survey" => (cmd_survey, "graph from-snapshot cutoff t-score top"),
+        "hunt" => (cmd_hunt, "input from-snapshot d1 d2 cutoff t-score dot-dir"),
+        "validate" => (
+            cmd_validate,
+            "input from-snapshot d1 d2 cutoff t-score windowed",
+        ),
+        "groups" => (cmd_groups, "input from-snapshot d1 d2 cutoff t-score"),
+        "pipeline" => (
+            cmd_pipeline,
+            "input from-snapshot d1 d2 cutoff t-score distributed",
+        ),
+        "refine" => (cmd_refine, "input from-snapshot d1 d2 cutoff rounds"),
+        "stream" => (
+            cmd_stream,
+            "input preset scale d1 d2 cutoff t-score horizon checkpoint speedup snapshot-out",
+        ),
+        "snapshot write" => (cmd_snapshot_write, "input out with-ci d1 d2"),
+        "snapshot inspect" => (cmd_snapshot_inspect, "snapshot"),
+        "report-validate" => (cmd_report_validate, "report kind"),
+        _ => return None,
+    })
 }
 
 /// Slurp `--input` (a path or `-` for stdin) into memory for the chunked
@@ -869,25 +923,6 @@ fn cmd_report_validate(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-fn dispatch(cmd: &str, flags: &Flags) -> Option<Result<(), String>> {
-    Some(match cmd {
-        "generate" => cmd_generate(flags),
-        "stats" => cmd_stats(flags),
-        "project" => cmd_project(flags),
-        "survey" => cmd_survey(flags),
-        "hunt" => cmd_hunt(flags),
-        "validate" => cmd_validate(flags),
-        "groups" => cmd_groups(flags),
-        "pipeline" => cmd_pipeline(flags),
-        "refine" => cmd_refine(flags),
-        "stream" => cmd_stream(flags),
-        "snapshot write" => cmd_snapshot_write(flags),
-        "snapshot inspect" => cmd_snapshot_inspect(flags),
-        "report-validate" => cmd_report_validate(flags),
-        _ => return None,
-    })
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some((cmd, rest)) = args.split_first() else {
@@ -910,9 +945,19 @@ fn main() -> ExitCode {
         (cmd.clone(), rest)
     };
     let cmd = cmd.as_str();
+    let Some((run, allowed)) = command(cmd) else {
+        eprintln!("unknown command: {cmd}");
+        return usage();
+    };
     let Some(flags) = Flags::parse(rest) else {
         return usage();
     };
+    let unknown = flags.unknown(allowed);
+    if !unknown.is_empty() {
+        let list: Vec<String> = unknown.iter().map(|k| format!("--{k}")).collect();
+        eprintln!("error: `{cmd}` does not take {}", list.join(", "));
+        return ExitCode::from(2);
+    }
     // Global `--ranks` validation: it only means something on a distributed
     // run, and it must be a positive rank count. Catching it here gives every
     // other subcommand the same clear error instead of a silently ignored
@@ -964,13 +1009,7 @@ fn main() -> ExitCode {
         Err(e) => Err(e),
         Ok(n) => match rayon::ThreadPoolBuilder::new().num_threads(n).build() {
             Err(e) => Err(format!("build {n}-thread pool: {e}")),
-            Ok(pool) => match pool.install(|| dispatch(cmd, &flags)) {
-                Some(r) => r,
-                None => {
-                    eprintln!("unknown command: {cmd}");
-                    return usage();
-                }
-            },
+            Ok(pool) => pool.install(|| run(&flags)),
         },
     };
     match result {

@@ -3,7 +3,7 @@
 //! Facade crate for the workspace reproducing Piercey's *Coordinated Botnet
 //! Detection in Social Networks via Clustering Analysis* (2023). It re-exports:
 //!
-//! * [`ygm`] — YGM-style SPMD runtime with distributed containers (substrate);
+//! * [`ygm`] — YGM-style SPMD runtime with a packed, spilling shuffle (substrate);
 //! * [`graph`] — the shared graph-representation layer: CSR storage with a
 //!   sharded parallel builder, typed ids, and borrowed threshold/subset views
 //!   that every stage exchanges zero-copy;

@@ -394,3 +394,23 @@ fn usage_errors_exit_2() {
         .expect("bad window");
     assert_eq!(status.code(), Some(2));
 }
+
+#[test]
+fn unknown_flags_are_rejected_by_name() {
+    let dir = tmpdir("unknown-flag");
+    let input = generate_month(&dir);
+    // A typo'd flag must not run at the default: exit 2, naming the flag.
+    // A real flag of another subcommand is just as unknown.
+    for (args, flag) in [
+        (vec!["validate", "--cuttoff", "25", "--input"], "--cuttoff"),
+        (vec!["validate", "--bogus", "3", "--input"], "--bogus"),
+        (vec!["stats", "--cutoff", "25", "--input"], "--cutoff"),
+    ] {
+        let out = bin().args(&args).arg(&input).output().expect("run");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(flag), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} ran anyway");
+    }
+    std::fs::remove_dir_all(dir).ok();
+}

@@ -1,82 +1,80 @@
-//! Cross-crate integration: the distributed substrates must agree with the
-//! shared-memory paths at realistic scenario scale, and the future-work
-//! features must compose with the pipeline.
+//! Cross-crate integration: the distributed engine must agree with the
+//! resident one at realistic scenario scale, the packed shuffle must batch,
+//! and the future-work features must compose with the pipeline.
 
-use coordination::core::pipeline::{Pipeline, PipelineConfig, ProjectionStrategy};
+use coordination::core::dist_pipeline::DistPipeline;
+use coordination::core::pipeline::{Pipeline, PipelineConfig, PipelineOutput};
 use coordination::core::Window;
+use coordination::graph::LocalCsr;
 use coordination::redditgen::ScenarioConfig;
-use coordination::tripoll::distributed::{distributed_components, distributed_survey};
-use coordination::tripoll::OrientedGraph;
-
-fn scenario_ci() -> (
-    coordination::core::records::Dataset,
-    coordination::core::CiGraph,
-) {
-    let scenario = ScenarioConfig::jan2020(0.12).build();
-    let dataset = scenario.dataset();
-    let out = Pipeline::new(PipelineConfig {
-        window: Window::zero_to_60s(),
-        min_triangle_weight: 20,
-        ..Default::default()
-    })
-    .run_dataset(&dataset);
-    (dataset, out.ci)
-}
+use coordination::tripoll::{survey_stage, OrientedGraph, Triangle};
+use coordination::ygm::{owner_of, DistRuns, World};
 
 #[test]
 fn distributed_projection_agrees_at_scenario_scale() {
-    let scenario = ScenarioConfig::oct2016(0.12).build();
-    let dataset = scenario.dataset();
-    let shared = Pipeline::new(PipelineConfig {
+    let dataset = ScenarioConfig::oct2016(0.12).build().dataset();
+    let config = PipelineConfig {
         window: Window::zero_to_60s(),
-        min_triangle_weight: 15,
+        edge_threshold: 5,
+        min_triangle_weight: 20,
         ..Default::default()
-    })
-    .run_dataset(&dataset);
-    let dist = Pipeline::new(PipelineConfig {
-        window: Window::zero_to_60s(),
-        min_triangle_weight: 15,
-        strategy: ProjectionStrategy::Distributed(5),
-        ..Default::default()
-    })
-    .run_dataset(&dataset);
-    assert_eq!(shared.stats.ci_edges, dist.stats.ci_edges);
-    assert_eq!(
-        shared.stats.triangles_examined,
-        dist.stats.triangles_examined
-    );
-    let key = |m: &coordination::core::TripletMetrics| m.authors;
-    let mut a: Vec<_> = shared.triplets.iter().map(key).collect();
-    let mut b: Vec<_> = dist.triplets.iter().map(key).collect();
-    a.sort_unstable();
-    b.sort_unstable();
-    assert_eq!(a, b);
+    };
+    let resident = Pipeline::new(config.clone()).run_dataset(&dataset);
+    let dist = DistPipeline::new(config, 5).run_dataset(&dataset);
+    assert!(!resident.triplets.is_empty(), "scenario found no triplets");
+    // Everything but the wall-clock timings.
+    let scalars = |o: &PipelineOutput| {
+        (
+            format!("{:?}", o.stats),
+            o.survey.total_examined,
+            o.survey.max_min_weight,
+            o.survey.min_weight_log_hist.clone(),
+        )
+    };
+    assert_eq!(scalars(&resident), scalars(&dist));
+    assert!(resident.ci.edges().eq(dist.ci.edges()), "CI graphs differ");
+    assert_eq!(resident.ci.page_counts(), dist.ci.page_counts());
+    assert_eq!(resident.survey.triangles, dist.survey.triangles);
+    assert_eq!(resident.triplets, dist.triplets);
 }
 
 #[test]
 fn distributed_survey_agrees_on_a_projected_graph() {
-    let (_, ci) = scenario_ci();
+    // The rank-sharded survey stage over a real projected CI graph: each of
+    // 4 ranks owns the oriented out-lists of its vertices, and the union of
+    // the triangles they keep must equal the shared-memory survey's.
+    let dataset = ScenarioConfig::jan2020(0.12).build().dataset();
+    let ci = Pipeline::new(PipelineConfig {
+        window: Window::zero_to_60s(),
+        min_triangle_weight: 20,
+        ..Default::default()
+    })
+    .run_dataset(&dataset)
+    .ci;
     let oriented = OrientedGraph::from_ref(&ci.threshold_view(5));
-    let shared = coordination::tripoll::survey::triangles_above(&oriented, 20);
-    let mut shared_sorted = shared;
-    shared_sorted.sort_unstable_by_key(|t| t.vertices());
-    let dist = distributed_survey(&oriented, 20, 4);
-    assert_eq!(dist.triangles, shared_sorted);
-    assert!(
-        dist.messages_sent > 0,
-        "the push algorithm must communicate"
-    );
-}
+    let mut shared = coordination::tripoll::survey::triangles_above(&oriented, 20);
+    shared.sort_unstable_by_key(|t| t.vertices());
+    assert!(!shared.is_empty(), "scenario graph has no heavy triangles");
 
-#[test]
-fn distributed_components_agree_on_a_projected_graph() {
-    let (_, ci) = scenario_ci();
-    let wg = ci.as_csr();
-    for cutoff in [20u64, 25] {
-        let expect = wg.components(cutoff);
-        let got = distributed_components(wg, cutoff, 4);
-        assert_eq!(got, expect, "cutoff {cutoff}");
-    }
+    const NRANKS: usize = 4;
+    let wedges: DistRuns<u128> = DistRuns::new(NRANKS, "wedge_checks", None);
+    let per_rank = World::run(NRANKS, |ctx| {
+        let csr = LocalCsr::from_sorted_edges(
+            (0..oriented.n())
+                .filter(|u| owner_of(u, ctx.nranks()) == ctx.rank())
+                .flat_map(|u| {
+                    let (nbrs, ws) = oriented.out(u);
+                    nbrs.iter().zip(ws).map(move |(&v, &w)| (u, v, w))
+                }),
+        );
+        let partial = survey_stage(ctx, &csr, 20, &wedges, 64 << 10);
+        ctx.barrier();
+        (partial.kept, ctx.messages_sent())
+    });
+    assert!(per_rank[0].1 > 0, "the push algorithm must communicate");
+    let mut dist: Vec<Triangle> = per_rank.into_iter().flat_map(|(k, _)| k).collect();
+    dist.sort_unstable_by_key(|t| t.vertices());
+    assert_eq!(dist, shared);
 }
 
 #[test]
@@ -118,43 +116,38 @@ fn groups_and_windowed_validation_compose_with_the_pipeline() {
 
 #[test]
 fn aggregated_messaging_is_dramatically_cheaper() {
-    // the ygm batching ablation at pipeline scale: count active messages for
-    // per-item vs aggregated counting
-    use ygm::container::DistCountingSet;
-    use ygm::{Aggregator, World};
+    // The packed shuffle at pipeline scale: every item pushed through a
+    // `PackedAggregator` rides a shipped byte buffer, so the active messages
+    // sent are a tiny fraction of the items delivered.
+    use coordination::ygm::{PackedAggregator, PackedBatch};
     const ITEMS: u64 = 20_000;
+    const NRANKS: usize = 4;
 
-    let per_item_msgs = {
-        let cs = DistCountingSet::<u64>::new(4);
-        World::run(4, move |ctx| {
-            for i in 0..ITEMS {
-                cs.async_add(ctx, i % 512);
-            }
-            ctx.barrier();
-            ctx.messages_sent()
-        })[0]
-    };
-    let batched_msgs = {
-        let cs = DistCountingSet::<u64>::new(4);
-        World::run(4, move |ctx| {
-            let cs2 = cs.clone();
-            // apply on the owner directly — re-sending would defeat batching
-            let mut agg = Aggregator::new(ctx, 1024, move |inner, k: u64| {
-                cs2.local_add(inner, k, 1);
-            });
-            for i in 0..ITEMS {
-                agg.push(ctx, ygm::owner_of(&(i % 512), ctx.nranks()), i % 512);
-            }
-            agg.flush_all(ctx);
-            ctx.barrier();
-            ctx.messages_sent()
-        })[0]
-    };
-    // batched: ITEMS self-routed adds (local) + ~ITEMS/1024 shipped batches;
-    // the cross-rank traffic collapses by ~3 orders of magnitude
+    let runs: DistRuns<u64> = DistRuns::new(NRANKS, "substrate_test", None);
+    let per_rank = World::run(NRANKS, |ctx| {
+        let sink = runs.clone();
+        let mut agg = PackedAggregator::new(
+            ctx,
+            "substrate_test",
+            move |inner, batch: PackedBatch<u64>| sink.local_absorb(inner, batch.iter()),
+        );
+        for i in 0..ITEMS {
+            agg.push_keyed(ctx, &(i % 512), i % 512);
+        }
+        agg.flush_all(ctx);
+        ctx.barrier();
+        (
+            ctx.messages_sent(),
+            runs.local_take(ctx).into_sorted_vec().len() as u64,
+        )
+    });
+    let pushed = ITEMS * NRANKS as u64;
+    let delivered: u64 = per_rank.iter().map(|&(_, n)| n).sum();
+    assert_eq!(delivered, pushed, "every pushed item is delivered once");
+    let messages = per_rank[0].0;
     assert!(
-        batched_msgs < per_item_msgs / 2,
-        "batched {batched_msgs} vs per-item {per_item_msgs}"
+        messages * 100 < pushed,
+        "{messages} messages for {pushed} items"
     );
 }
 
